@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   const PartitionedIndex index = [&] {
     try {
       if (!segmentDir.empty()) return PartitionedIndex::fromSegmentDir(segmentDir);
-      const auto docs = generateDocuments(corpus);
-      return PartitionedIndex(corpus.termCount, docs,
+      return PartitionedIndex(corpus.termCount, generateDocuments(corpus),
                               static_cast<std::size_t>(flags.integer("shards")));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "resex_serve: cannot load index: %s\n", e.what());

@@ -1,5 +1,6 @@
 #include "index/block_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -16,26 +17,18 @@ unsigned bitsFor(std::uint32_t v) {
   return static_cast<unsigned>(std::bit_width(v));
 }
 
-/// Appends `bits` (<= 32) of `value` at bit position `bitPos` of `out`,
-/// growing the buffer as needed (slack bytes are trimmed by the caller).
-void appendBits(std::vector<std::uint8_t>& out, std::size_t& bitPos,
-                std::uint64_t value, unsigned bits) {
+/// ORs `bits` (<= 32) of `value` in at bit position `bitPos` of `out`. The
+/// 64-bit store may touch up to 7 bytes past the value; those bytes are
+/// zero (or already-packed bits, which OR-ing zeros leaves intact).
+void putBits(std::uint8_t* out, std::size_t& bitPos, std::uint64_t value,
+             unsigned bits) {
   if (bits == 0) return;
-  const std::size_t byteIndex = bitPos >> 3;
-  if (out.size() < byteIndex + sizeof(std::uint64_t))
-    out.resize(byteIndex + sizeof(std::uint64_t), 0);
+  std::uint8_t* at = out + (bitPos >> 3);
   std::uint64_t word;
-  std::memcpy(&word, out.data() + byteIndex, sizeof(word));
+  std::memcpy(&word, at, sizeof(word));
   word |= value << (bitPos & 7);
-  std::memcpy(out.data() + byteIndex, &word, sizeof(word));
+  std::memcpy(at, &word, sizeof(word));
   bitPos += bits;
-}
-
-double bm25Weight(double tf, double docLength, double avgDocLength,
-                  const Bm25Params& params) {
-  const double norm = params.k1 * (1.0 - params.b +
-                                   params.b * docLength / std::max(1.0, avgDocLength));
-  return (tf * (params.k1 + 1.0)) / (tf + norm);
 }
 
 /// Exact byte size of a full bit-packed block's payload.
@@ -53,25 +46,35 @@ std::size_t packedBlockBytes(std::uint32_t count, unsigned docBits,
 
 }  // namespace
 
-BlockPostingList::BlockPostingList(const std::vector<DocId>& docs,
-                                   const std::vector<std::uint32_t>& freqs,
-                                   std::span<const std::uint32_t> docLengths,
-                                   double avgDocLength, const Bm25Params& params)
-    : count_(docs.size()),
-      builtAvgDocLength_(avgDocLength),
-      builtK1_(params.k1),
-      builtB_(params.b) {
+double bm25LengthNorm(std::uint32_t docLength, double avgDocLength,
+                      const Bm25Params& params) {
+  return params.k1 *
+         (1.0 - params.b + params.b * docLength / std::max(1.0, avgDocLength));
+}
+
+double postingWeight(std::uint32_t tf, double lengthNorm,
+                     const Bm25Params& params) {
+  return (tf * (params.k1 + 1.0)) / (tf + lengthNorm);
+}
+
+std::size_t planPostingBlocks(std::span<const DocId> docs,
+                              std::span<const std::uint32_t> freqs,
+                              std::span<const std::uint32_t> docLengths,
+                              double avgDocLength, const Bm25Params& params,
+                              std::span<PostingBlockMeta> blocks) {
   if (docs.size() != freqs.size())
     throw std::invalid_argument("BlockPostingList: docs/freqs size mismatch");
-  ownedBlocks_.reserve((docs.size() + kPostingBlockSize - 1) / kPostingBlockSize);
-  std::vector<std::uint8_t> payload;  // per-block scratch, reused
-  for (std::size_t begin = 0; begin < docs.size(); begin += kPostingBlockSize) {
+  if (blocks.size() != postingBlockCount(docs.size()))
+    throw std::invalid_argument("BlockPostingList: block count mismatch");
+  std::size_t payloadBytes = 0;
+  for (std::size_t begin = 0, b = 0; begin < docs.size();
+       begin += kPostingBlockSize, ++b) {
     const std::size_t end = std::min(begin + kPostingBlockSize, docs.size());
     PostingBlockMeta meta;
     meta.firstDoc = docs[begin];
     meta.lastDoc = docs[end - 1];
     meta.count = static_cast<std::uint16_t>(end - begin);
-    meta.dataOffset = static_cast<std::uint64_t>(ownedData_.size());
+    meta.dataOffset = payloadBytes;
     meta.minDocLen = ~std::uint32_t{0};
     std::uint32_t maxDelta = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -87,41 +90,57 @@ BlockPostingList::BlockPostingList(const std::vector<DocId>& docs,
           docs[i] < docLengths.size() ? docLengths[docs[i]] : 1;
       meta.minDocLen = std::min(meta.minDocLen, len);
       meta.maxWeight = std::max(
-          meta.maxWeight, bm25Weight(freqs[i], len, avgDocLength, params));
+          meta.maxWeight,
+          postingWeight(freqs[i], bm25LengthNorm(len, avgDocLength, params),
+                        params));
     }
     if (begin > 0 && docs[begin] <= docs[begin - 1])
       throw std::invalid_argument("BlockPostingList: doc ids not increasing");
 
-    payload.clear();
     if (meta.count == kPostingBlockSize) {
       // Full block: fixed-width bit packing. Deltas store (gap-1) — a
       // width of 0 encodes consecutive ids in no bits at all; frequencies
       // store (freq-1) the same way.
       meta.docBits = static_cast<std::uint8_t>(bitsFor(maxDelta));
       meta.freqBits = static_cast<std::uint8_t>(bitsFor(meta.maxTf - 1));
-      std::size_t bitPos = 0;
-      for (std::size_t i = begin + 1; i < end; ++i)
-        appendBits(payload, bitPos, docs[i] - docs[i - 1] - 1, meta.docBits);
-      for (std::size_t i = begin; i < end; ++i)
-        appendBits(payload, bitPos, freqs[i] - 1, meta.freqBits);
-      payload.resize((bitPos + 7) / 8);
+      payloadBytes += packedBlockBytes(meta.count, meta.docBits, meta.freqBits);
     } else {
       // Partial tail block: VByte, same (gap-1)/(freq-1) normalization.
       meta.docBits = kVbyteTailBits;
       for (std::size_t i = begin + 1; i < end; ++i)
-        varbyteEncode(docs[i] - docs[i - 1] - 1, payload);
+        payloadBytes += varbyteSize(docs[i] - docs[i - 1] - 1);
       for (std::size_t i = begin; i < end; ++i)
-        varbyteEncode(freqs[i] - 1, payload);
+        payloadBytes += varbyteSize(freqs[i] - 1);
     }
-    ownedData_.insert(ownedData_.end(), payload.begin(), payload.end());
-    ownedBlocks_.push_back(meta);
+    blocks[b] = meta;
   }
-  payloadBytes_ = ownedData_.size();
-  ownedData_.resize(ownedData_.size() + kPayloadPadBytes, 0);
-  ownedData_.shrink_to_fit();
-  data_ = ownedData_.data();
-  blocks_ = ownedBlocks_.data();
-  blockCount_ = ownedBlocks_.size();
+  return payloadBytes;
+}
+
+void packPostingBlocks(std::span<const DocId> docs,
+                       std::span<const std::uint32_t> freqs,
+                       std::span<const PostingBlockMeta> blocks,
+                       std::uint8_t* payload) {
+  std::size_t begin = 0;
+  for (const PostingBlockMeta& meta : blocks) {
+    const std::size_t end = begin + meta.count;
+    if (end > docs.size() || end > freqs.size())
+      throw std::invalid_argument("BlockPostingList: blocks exceed the postings");
+    std::uint8_t* out = payload + meta.dataOffset;
+    if (meta.docBits == kVbyteTailBits) {
+      for (std::size_t i = begin + 1; i < end; ++i)
+        out = varbyteEncode(docs[i] - docs[i - 1] - 1, out);
+      for (std::size_t i = begin; i < end; ++i)
+        out = varbyteEncode(freqs[i] - 1, out);
+    } else {
+      std::size_t bitPos = 0;
+      for (std::size_t i = begin + 1; i < end; ++i)
+        putBits(out, bitPos, docs[i] - docs[i - 1] - 1, meta.docBits);
+      for (std::size_t i = begin; i < end; ++i)
+        putBits(out, bitPos, freqs[i] - 1, meta.freqBits);
+    }
+    begin = end;
+  }
 }
 
 BlockPostingList BlockPostingList::viewOf(
@@ -159,7 +178,7 @@ BlockPostingList BlockPostingList::viewOf(
       rejectView(b, "single-posting block with a doc range");
     if (meta.count > 1 &&
         static_cast<std::uint64_t>(meta.lastDoc) - meta.firstDoc <
-            meta.count - 1)
+            static_cast<std::uint64_t>(meta.count) - 1)
       rejectView(b, "doc range narrower than the posting count");
     if (b > 0 && meta.firstDoc <= blocks[b - 1].lastDoc)
       rejectView(b, "doc range overlaps the previous block");
@@ -199,6 +218,14 @@ BlockPostingList BlockPostingList::viewOf(
     throw std::invalid_argument(
         "BlockPostingList::viewOf: payload bytes without blocks");
 
+  return overValidated(blocks, payload, payloadBytes, postingCount,
+                       builtAvgDocLength, builtParams);
+}
+
+BlockPostingList BlockPostingList::overValidated(
+    std::span<const PostingBlockMeta> blocks, const std::uint8_t* payload,
+    std::size_t payloadBytes, std::size_t postingCount,
+    double builtAvgDocLength, const Bm25Params& builtParams) noexcept {
   BlockPostingList list;
   list.data_ = payload;
   list.blocks_ = blocks.data();

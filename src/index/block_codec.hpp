@@ -13,14 +13,18 @@
 // This subsumes the former standalone BlockMaxIndex: block-max metadata is
 // now an intrinsic part of the posting list.
 //
-// A list either *owns* its bytes (built in RAM from docs/freqs) or is a
-// zero-copy *view* over externally owned bytes — the mmap'd planes of an
-// on-disk segment (see segment.hpp). Views are constructed through
-// viewOf(), which treats the metadata as untrusted input and validates
-// every block invariant against the actual payload extent before a single
-// byte is decoded; the decode paths themselves never read past the
-// declared payload (the VByte tail is bounds-checked, and bit-packed
-// extents are proven exact at validation time).
+// A list is always a zero-copy *view* over externally owned planes: the
+// payload and meta planes of a segment, whether they sit in heap buffers
+// (an index built in memory) or in an mmap'd file (see segment.hpp).
+// Encoding is two passes over a list's postings — planPostingBlocks()
+// computes every block's metadata and the exact payload size, then
+// packPostingBlocks() writes the bytes into a buffer sized up front — so a
+// shard's lists share one payload buffer and one meta buffer. Views are
+// constructed through viewOf(), which treats the metadata as untrusted
+// input and validates every block invariant against the actual payload
+// extent before a single byte is decoded; the decode paths themselves
+// never read past the declared payload (the VByte tail is bounds-checked,
+// and bit-packed extents are proven exact at validation time).
 #pragma once
 
 #include <cstddef>
@@ -43,8 +47,8 @@ inline constexpr std::uint8_t kVbyteTailBits = 0xFF;
 
 /// Readable slack bytes every payload must carry past its encoded bytes:
 /// the unpack kernels (scalar and SIMD alike) issue unaligned 64-bit loads
-/// anchored at a value's first byte. Owning lists append this pad
-/// themselves; segment planes pad their tail for the same reason.
+/// anchored at a value's first byte (and the packer stores 64-bit words the
+/// same way). Payload planes carry this pad past their final list.
 inline constexpr std::size_t kPayloadPadBytes = 8;
 
 /// Per-block metadata. This exact layout is also the segment file's
@@ -79,18 +83,49 @@ static_assert(offsetof(PostingBlockMeta, dataOffset) == 8 &&
                   offsetof(PostingBlockMeta, maxWeight) == 32,
               "PostingBlockMeta field offsets are part of the segment format");
 
-/// One term's block-compressed posting list.
+/// Blocks a list of `postings` entries is cut into.
+constexpr std::size_t postingBlockCount(std::size_t postings) noexcept {
+  return (postings + kPostingBlockSize - 1) / kPostingBlockSize;
+}
+
+/// BM25 length normalisation k1*(1-b+b*len/avgdl) of one document.
+double bm25LengthNorm(std::uint32_t docLength, double avgDocLength,
+                      const Bm25Params& params);
+
+/// tf*(k1+1)/(tf+lengthNorm): one posting's BM25 weight before idf — the
+/// quantity PostingBlockMeta::maxWeight bounds. Block planning and segment
+/// validation both call these two definitions, so a bound proven at load
+/// is checked against the very values the encoder computed.
+double postingWeight(std::uint32_t tf, double lengthNorm,
+                     const Bm25Params& params);
+
+/// Encoding pass 1: fills `blocks` (exactly postingBlockCount(docs.size())
+/// entries) with one list's block metadata — doc range, widths, score
+/// bounds, and payload offsets relative to the list's first byte — and
+/// returns the list's encoded payload bytes. `docs` are strictly
+/// increasing dense ids; `freqs` parallel (freqs[i] >= 1); throws
+/// std::invalid_argument otherwise. `docLengths` (indexed by dense id) and
+/// `avgDocLength` feed the per-block score bounds; ids past its end count
+/// as length 1, which stays a valid (looser) upper bound.
+std::size_t planPostingBlocks(std::span<const DocId> docs,
+                              std::span<const std::uint32_t> freqs,
+                              std::span<const std::uint32_t> docLengths,
+                              double avgDocLength, const Bm25Params& params,
+                              std::span<PostingBlockMeta> blocks);
+
+/// Encoding pass 2: writes the payload `blocks` (from planPostingBlocks on
+/// the same postings) describe to `payload`, which must be zero-filled and
+/// hold the planned bytes plus kPayloadPadBytes of writable slack.
+void packPostingBlocks(std::span<const DocId> docs,
+                       std::span<const std::uint32_t> freqs,
+                       std::span<const PostingBlockMeta> blocks,
+                       std::uint8_t* payload);
+
+/// One term's block-compressed posting list: a view over payload and meta
+/// planes owned elsewhere. Copies are cheap and alias the same planes.
 class BlockPostingList {
  public:
   BlockPostingList() = default;
-  /// `docs` strictly increasing dense ids; `freqs` parallel (freqs[i] >= 1).
-  /// `docLengths` (indexed by dense id) and `avgDocLength` feed the
-  /// per-block score bounds; when absent the bounds assume length 1,
-  /// which stays a valid (looser) upper bound. The list owns its bytes.
-  BlockPostingList(const std::vector<DocId>& docs,
-                   const std::vector<std::uint32_t>& freqs,
-                   std::span<const std::uint32_t> docLengths = {},
-                   double avgDocLength = 0.0, const Bm25Params& params = {});
 
   /// Zero-copy view over externally owned (typically mmap'd) planes. The
   /// metadata is untrusted: every block invariant — counts, widths,
@@ -108,13 +143,15 @@ class BlockPostingList {
                                  double builtAvgDocLength,
                                  const Bm25Params& builtParams);
 
-  // Owning lists hold vectors that back raw view pointers: moves keep the
-  // buffers (and so the pointers) alive; copies would silently alias the
-  // source's storage, so they are disabled.
-  BlockPostingList(BlockPostingList&&) noexcept = default;
-  BlockPostingList& operator=(BlockPostingList&&) noexcept = default;
-  BlockPostingList(const BlockPostingList&) = delete;
-  BlockPostingList& operator=(const BlockPostingList&) = delete;
+  /// The same view without validation, for planes already proven: a
+  /// segment that viewOf validated at load, or planes this process
+  /// encoded with planPostingBlocks/packPostingBlocks.
+  static BlockPostingList overValidated(std::span<const PostingBlockMeta> blocks,
+                                        const std::uint8_t* payload,
+                                        std::size_t payloadBytes,
+                                        std::size_t postingCount,
+                                        double builtAvgDocLength,
+                                        const Bm25Params& builtParams) noexcept;
 
   std::size_t documentCount() const noexcept { return count_; }
   std::size_t blockCount() const noexcept { return blockCount_; }
@@ -155,11 +192,6 @@ class BlockPostingList {
   Bm25Params builtParams() const noexcept { return {builtK1_, builtB_}; }
 
  private:
-  // Owning storage; empty for views.
-  std::vector<std::uint8_t> ownedData_;        // payload + kPayloadPadBytes
-  std::vector<PostingBlockMeta> ownedBlocks_;
-  // The decode paths read only through these views (into the owned
-  // storage, or into a caller's mapped planes).
   const std::uint8_t* data_ = nullptr;
   const PostingBlockMeta* blocks_ = nullptr;
   std::size_t blockCount_ = 0;

@@ -33,7 +33,9 @@ struct CursorBuffer {
 /// freq() and intra-block advances force the decode.
 class TermCursor {
  public:
-  void init(const BlockPostingList* list, double idf, double upperBound,
+  /// Keeps a copy of the view; the planes it points into must outlive the
+  /// cursor's use.
+  void init(const BlockPostingList& list, double idf, double upperBound,
             bool preciseBounds, CursorBuffer* buffer, ExecStats* stats) {
     list_ = list;
     buffer_ = buffer;
@@ -50,7 +52,7 @@ class TermCursor {
   double idf() const noexcept { return idf_; }
   /// Global (whole-list) upper bound on this term's contribution.
   double upperBound() const noexcept { return upperBound_; }
-  std::size_t documentCount() const noexcept { return list_->documentCount(); }
+  std::size_t documentCount() const noexcept { return list_.documentCount(); }
 
   std::uint32_t freq() {
     ensureDecoded();
@@ -91,11 +93,11 @@ class TermCursor {
       if (!decoded_ && stats_ != nullptr) ++stats_->blocksSkipped;
       for (;;) {
         ++block_;
-        if (block_ >= list_->blockCount()) {
+        if (block_ >= list_.blockCount()) {
           meta_ = nullptr;
           return;
         }
-        if (list_->block(block_).lastDoc >= target) break;
+        if (list_.block(block_).lastDoc >= target) break;
         if (stats_ != nullptr) ++stats_->blocksSkipped;
       }
       loadBlockFront();
@@ -118,11 +120,11 @@ class TermCursor {
 
  private:
   void loadBlockFront() noexcept {
-    if (block_ >= list_->blockCount()) {
+    if (block_ >= list_.blockCount()) {
       meta_ = nullptr;
       return;
     }
-    meta_ = &list_->block(block_);
+    meta_ = &list_.block(block_);
     pos_ = 0;
     count_ = meta_->count;
     decoded_ = false;
@@ -131,7 +133,7 @@ class TermCursor {
 
   void ensureDecoded() {
     if (decoded_) return;
-    list_->decodeBlock(block_, buffer_->docs.data(), buffer_->freqs.data());
+    list_.decodeBlock(block_, buffer_->docs.data(), buffer_->freqs.data());
     decoded_ = true;
     if (stats_ != nullptr) {
       ++stats_->blocksDecoded;
@@ -139,7 +141,7 @@ class TermCursor {
     }
   }
 
-  const BlockPostingList* list_ = nullptr;
+  BlockPostingList list_;
   const PostingBlockMeta* meta_ = nullptr;  // null once exhausted
   CursorBuffer* buffer_ = nullptr;
   ExecStats* stats_ = nullptr;

@@ -31,7 +31,7 @@ std::vector<Document> generateDocuments(const SyntheticDocConfig& config) {
 }
 
 PartitionedIndex::PartitionedIndex(std::uint32_t termCount,
-                                   const std::vector<Document>& documents,
+                                   std::vector<Document> documents,
                                    std::size_t shardCount,
                                    const std::vector<double>& weights) {
   if (shardCount == 0) throw std::invalid_argument("PartitionedIndex: zero shards");
@@ -51,21 +51,26 @@ PartitionedIndex::PartitionedIndex(std::uint32_t termCount,
       quota[i] = weights[i] / total * static_cast<double>(shardCount);
   }
   std::vector<double> credit(shardCount, 0.0);
+  // Documents move into their shard (the corpus is never copied), and each
+  // shard's documents are released as soon as its index is built, so the
+  // build holds one corpus plus the finished shards, not two corpora.
   std::vector<std::vector<Document>> perShard(shardCount);
-  for (const Document& doc : documents) {
+  for (Document& doc : documents) {
     std::size_t best = 0;
     for (std::size_t i = 0; i < shardCount; ++i) {
       credit[i] += quota[i];
       if (credit[i] > credit[best]) best = i;
     }
     credit[best] -= static_cast<double>(shardCount);
-    perShard[best].push_back(doc);
+    perShard[best].push_back(std::move(doc));
   }
+  std::vector<Document>().swap(documents);
 
-  totalDocs_ = documents.size();
   shards_.reserve(shardCount);
-  for (std::size_t i = 0; i < shardCount; ++i)
-    shards_.push_back(std::make_unique<InvertedIndex>(termCount, perShard[i]));
+  for (std::vector<Document>& docs : perShard) {
+    shards_.push_back(std::make_unique<InvertedIndex>(termCount, docs));
+    std::vector<Document>().swap(docs);
+  }
   computeGlobalStats(termCount);
 }
 
@@ -148,10 +153,7 @@ std::vector<ScoredDoc> PartitionedIndex::searchTopK(
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ExecStats stats;
     results[i] = topKDisjunctive(*shards_[i], terms, k, params, &stats, &global_);
-    if (perShardStats) {
-      (*perShardStats).at(i).postingsScanned += stats.postingsScanned;
-      (*perShardStats).at(i).candidatesScored += stats.candidatesScored;
-    }
+    if (perShardStats) perShardStats->at(i) += stats;
   }
   return mergeTopK(results, k);
 }

@@ -32,8 +32,10 @@ class PartitionedIndex {
  public:
   /// Partitions `documents` into `shardCount` shards. `weights` biases how
   /// many documents each shard receives (empty = equal); assignment is
-  /// round-robin over a weighted schedule, deterministic.
-  PartitionedIndex(std::uint32_t termCount, const std::vector<Document>& documents,
+  /// round-robin over a weighted schedule, deterministic. The corpus is
+  /// taken by value: pass an rvalue and each document moves into its
+  /// shard and is freed once that shard is built.
+  PartitionedIndex(std::uint32_t termCount, std::vector<Document> documents,
                    std::size_t shardCount, const std::vector<double>& weights = {});
 
   /// Persists every shard as a segment file under `dir` (created if
@@ -56,8 +58,9 @@ class PartitionedIndex {
   double docFraction(std::size_t i) const;
 
   /// Scatter-gather top-k across every shard (disjunctive BM25), scored
-  /// with global statistics so the merge is exact. Per-shard stats are
-  /// accumulated into `perShardStats` when provided (size shardCount).
+  /// with global statistics so the merge is exact. Each shard's full
+  /// ExecStats is accumulated into `perShardStats` when provided (size
+  /// shardCount).
   std::vector<ScoredDoc> searchTopK(const std::vector<TermId>& terms, std::size_t k,
                                     const Bm25Params& params = {},
                                     std::vector<ExecStats>* perShardStats = nullptr) const;

@@ -37,13 +37,13 @@ ScoreContext buildCursors(const InvertedIndex& index,
   scratch.exec = ExecStats{};
   scratch.cursors.clear();
   for (const TermId t : scratch.terms) {
-    const PostingList& pl = index.postings(t);
+    const PostingList pl = index.postings(t);
     if (pl.documentCount() == 0) continue;  // contributes nothing anywhere
     const std::size_t df = effectiveDf(global, t, pl.documentCount());
     const double idf = bm25Idf(ctx.docCount, df);
     // tf/(tf+norm) < 1, so idf*(k1+1) bounds any contribution.
     scratch.cursors.emplace_back();
-    scratch.cursors.back().init(&pl, idf, idf * (params.k1 + 1.0),
+    scratch.cursors.back().init(pl, idf, idf * (params.k1 + 1.0),
                                 pl.boundsExactFor(ctx.avgLen, params),
                                 &scratch.buffer(scratch.cursors.size() - 1),
                                 &scratch.exec);
@@ -52,13 +52,7 @@ ScoreContext buildCursors(const InvertedIndex& index,
 }
 
 void finishExec(const QueryScratch& scratch, ExecStats* stats) {
-  if (stats != nullptr) {
-    stats->postingsScanned += scratch.exec.postingsScanned;
-    stats->candidatesScored += scratch.exec.candidatesScored;
-    stats->blocksDecoded += scratch.exec.blocksDecoded;
-    stats->blocksSkipped += scratch.exec.blocksSkipped;
-    stats->heapThresholdPrunes += scratch.exec.heapThresholdPrunes;
-  }
+  if (stats != nullptr) *stats += scratch.exec;
   static obs::Counter& decoded =
       obs::MetricsRegistry::global().counter("query.blocks_decoded");
   static obs::Counter& skipped =
@@ -248,7 +242,7 @@ std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
   touchedDocs.clear();
 
   for (const TermId t : unique) {
-    const PostingList& list = index.postings(t);
+    const PostingList list = index.postings(t);
     if (list.documentCount() == 0) continue;
     const std::size_t df = effectiveDf(global, t, list.documentCount());
     const double idf = bm25Idf(docCount, df);

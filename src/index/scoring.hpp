@@ -42,6 +42,17 @@ struct ExecStats {
   /// Pruning decisions driven by the top-k heap threshold (shallow
   /// block-bound rejections and global-bound terminations).
   std::size_t heapThresholdPrunes = 0;
+
+  /// Adds every counter of `other` — the one accumulation path for
+  /// per-query, per-shard and per-window totals.
+  ExecStats& operator+=(const ExecStats& other) noexcept {
+    postingsScanned += other.postingsScanned;
+    candidatesScored += other.candidatesScored;
+    blocksDecoded += other.blocksDecoded;
+    blocksSkipped += other.blocksSkipped;
+    heapThresholdPrunes += other.heapThresholdPrunes;
+    return *this;
+  }
 };
 
 /// Corpus-wide statistics for scoring. In a document-partitioned engine

@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "index/inverted_index.hpp"
 #include "util/checksum.hpp"
@@ -46,147 +48,133 @@ const char* segmentPlaneName(std::uint32_t plane) noexcept {
   }
 }
 
-// ---- SegmentWriter ----------------------------------------------------
+// ---- SegmentPlanes ----------------------------------------------------
 
-SegmentWriter::SegmentWriter(const std::string& path, std::uint32_t termCount,
-                             std::span<const std::uint32_t> docLengths,
-                             std::span<const DocId> docIds,
-                             double avgDocLength, const Bm25Params& params)
-    : path_(path),
-      termCount_(termCount),
-      docLengths_(docLengths.begin(), docLengths.end()),
-      docIds_(docIds.begin(), docIds.end()) {
-  if (docLengths.size() != docIds.size())
-    throw std::invalid_argument("SegmentWriter: doclen/docid size mismatch");
-  if (!std::isfinite(avgDocLength) || avgDocLength < 0.0)
-    throw std::invalid_argument("SegmentWriter: bad avgDocLength");
-  footer_.termCount = termCount;
-  footer_.docCount = static_cast<std::uint32_t>(docLengths.size());
-  footer_.avgDocLength = avgDocLength;
-  footer_.bm25K1 = params.k1;
-  footer_.bm25B = params.b;
-  directory_.reserve(termCount);
+BlockPostingList SegmentPlanes::postings(TermId term) const {
+  const SegmentTermEntry& entry = directory[term];
+  return BlockPostingList::overValidated(
+      metas.subspan(entry.blockBegin, entry.blockCount),
+      payload.data() + entry.payloadOffset, entry.payloadBytes,
+      entry.postingCount, avgDocLength, params);
+}
 
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) throwErrno("SegmentWriter: cannot create", path);
+// ---- Writer -----------------------------------------------------------
+
+namespace {
+
+/// Appends to a freshly created file, tracking the write position for the
+/// page-aligned plane table.
+class SegmentFile {
+ public:
+  explicit SegmentFile(const std::string& path) : path_(path) {
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd_ < 0) throwErrno("writeSegment: cannot create", path);
+  }
+  ~SegmentFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+
+  std::uint64_t position() const noexcept { return pos_; }
+
+  void write(const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    while (size > 0) {
+      const ssize_t n = ::write(fd_, p, size);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throwErrno("writeSegment: write failed for", path_);
+      }
+      p += n;
+      size -= static_cast<std::size_t>(n);
+      pos_ += static_cast<std::uint64_t>(n);
+    }
+  }
+
+  void padToPage() {
+    static const std::uint8_t zeros[512] = {};
+    std::uint64_t pad = pageAlign(pos_) - pos_;
+    while (pad > 0) {
+      const std::size_t chunk =
+          static_cast<std::size_t>(pad < sizeof zeros ? pad : sizeof zeros);
+      write(zeros, chunk);
+      pad -= chunk;
+    }
+  }
+
+  /// fsyncs and closes the file, then fsyncs its parent directory: the
+  /// migration copy path depends on the destination segment's *name*
+  /// surviving a crash once writeSegment returns, not just its bytes.
+  void commit() {
+    if (::fsync(fd_) != 0) throwErrno("writeSegment: fsync failed for", path_);
+    const int fd = std::exchange(fd_, -1);
+    if (::close(fd) != 0) throwErrno("writeSegment: close failed for", path_);
+    const std::size_t slash = path_.find_last_of('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path_.substr(0, slash + 1);
+    const int dirFd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dirFd < 0) throwErrno("writeSegment: cannot open directory", dir);
+    if (::fsync(dirFd) != 0) {
+      const int err = errno;
+      ::close(dirFd);
+      errno = err;
+      throwErrno("writeSegment: directory fsync failed for", dir);
+    }
+    ::close(dirFd);
+  }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t pos_ = 0;
+};
+
+}  // namespace
+
+std::uint64_t writeSegment(const InvertedIndex& index, const std::string& path) {
+  const SegmentPlanes& planes = index.planes();
+  SegmentFooter footer;
+  footer.termCount = planes.termCount();
+  footer.docCount = planes.docCount();
+  footer.totalPostings = planes.totalPostings;
+  footer.totalBlocks = planes.metas.size();
+  footer.avgDocLength = planes.avgDocLength;
+  footer.bm25K1 = planes.params.k1;
+  footer.bm25B = planes.params.b;
+
+  SegmentFile file(path);
   SegmentHeader header;
   header.crc = structCrc(header);
-  writeRaw(&header, sizeof header);
-  padToPage();  // payload plane starts at page 1
-}
+  file.write(&header, sizeof header);
+  file.padToPage();
 
-SegmentWriter::~SegmentWriter() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void SegmentWriter::writeRaw(const void* data, std::size_t size) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t n = ::write(fd_, p, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throwErrno("SegmentWriter: write failed for", path_);
+  const auto writePlane = [&](std::uint32_t plane, const void* data,
+                              std::size_t bytes) {
+    footer.planes[plane] =
+        SegmentPlane{file.position(), bytes, crc32c(data, bytes), 0};
+    file.write(data, bytes);
+    if (plane == kPlanePayload) {
+      // The unpack kernels read up to kPayloadPadBytes past a list's
+      // encoded bytes; guarantee that slack for the final list.
+      static const std::uint8_t pad[kPayloadPadBytes] = {};
+      file.write(pad, sizeof pad);
     }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-    filePos_ += static_cast<std::uint64_t>(n);
-  }
-}
-
-void SegmentWriter::padToPage() {
-  static const std::uint8_t zeros[512] = {};
-  std::uint64_t pad = pageAlign(filePos_) - filePos_;
-  while (pad > 0) {
-    const std::size_t chunk = static_cast<std::size_t>(
-        pad < sizeof zeros ? pad : sizeof zeros);
-    writeRaw(zeros, chunk);
-    pad -= chunk;
-  }
-}
-
-void SegmentWriter::addList(TermId term, const BlockPostingList& list) {
-  if (finished_) throw std::logic_error("SegmentWriter: finished");
-  if (term != nextTerm_ || term >= termCount_)
-    throw std::invalid_argument(
-        "SegmentWriter: terms must arrive in ascending order with no gaps");
-  ++nextTerm_;
-
-  const std::span<const std::uint8_t> payload = list.payload();
-  SegmentTermEntry entry;
-  entry.payloadOffset = payloadCursor_;
-  entry.payloadBytes = payload.size();
-  entry.blockBegin = metas_.size();
-  entry.blockCount = static_cast<std::uint32_t>(list.blockCount());
-  entry.postingCount = list.documentCount();
-  directory_.push_back(entry);
-
-  const std::span<const PostingBlockMeta> blocks = list.blocks();
-  metas_.insert(metas_.end(), blocks.begin(), blocks.end());
-  footer_.totalPostings += entry.postingCount;
-
-  if (!payload.empty()) {
-    writeRaw(payload.data(), payload.size());
-    payloadCrc_ = crc32c(payload.data(), payload.size(), payloadCrc_);
-    payloadCursor_ += payload.size();
-  }
-}
-
-std::uint64_t SegmentWriter::finish() {
-  if (finished_) throw std::logic_error("SegmentWriter: finished");
-  if (nextTerm_ != termCount_)
-    throw std::logic_error("SegmentWriter: not every term was added");
-  finished_ = true;
-
-  footer_.totalBlocks = metas_.size();
-  footer_.planes[kPlanePayload] =
-      SegmentPlane{kSegmentPageBytes, payloadCursor_, payloadCrc_, 0};
-  // The unpack kernels read up to kPayloadPadBytes past a list's encoded
-  // bytes; guarantee that slack for the final list before page padding.
-  static const std::uint8_t pad[kPayloadPadBytes] = {};
-  writeRaw(pad, sizeof pad);
-  padToPage();
-
-  const auto writePlane = [this](std::uint32_t plane, const void* data,
-                                 std::size_t bytes) {
-    footer_.planes[plane] =
-        SegmentPlane{filePos_, bytes, crc32c(data, bytes), 0};
-    writeRaw(data, bytes);
-    padToPage();
+    file.padToPage();
   };
-  writePlane(kPlaneMeta, metas_.data(), metas_.size() * sizeof(PostingBlockMeta));
-  writePlane(kPlaneDocLen, docLengths_.data(),
-             docLengths_.size() * sizeof(std::uint32_t));
-  writePlane(kPlaneDocId, docIds_.data(), docIds_.size() * sizeof(DocId));
-  writePlane(kPlaneDirectory, directory_.data(),
-             directory_.size() * sizeof(SegmentTermEntry));
+  writePlane(kPlanePayload, planes.payload.data(), planes.payload.size());
+  writePlane(kPlaneMeta, planes.metas.data(), planes.metas.size_bytes());
+  writePlane(kPlaneDocLen, planes.docLengths.data(),
+             planes.docLengths.size_bytes());
+  writePlane(kPlaneDocId, planes.docIds.data(), planes.docIds.size_bytes());
+  writePlane(kPlaneDirectory, planes.directory.data(),
+             planes.directory.size_bytes());
 
-  footer_.fileBytes = filePos_ + sizeof(SegmentFooter);
-  footer_.crc = structCrc(footer_);
-  writeRaw(&footer_, sizeof footer_);
-
-  if (::fsync(fd_) != 0) throwErrno("SegmentWriter: fsync failed for", path_);
-  if (::close(fd_) != 0) {
-    fd_ = -1;
-    throwErrno("SegmentWriter: close failed for", path_);
-  }
-  fd_ = -1;
-
-  // Durability of the *name*, not just the bytes: fsync the parent
-  // directory so a crash after finish() cannot leave a fully-synced file
-  // missing from its directory (the migration copy path depends on the
-  // destination segment surviving a crash once finish() returns).
-  const std::size_t slash = path_.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path_.substr(0, slash + 1);
-  const int dirFd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dirFd < 0) throwErrno("SegmentWriter: cannot open directory", dir);
-  if (::fsync(dirFd) != 0) {
-    const int err = errno;
-    ::close(dirFd);
-    errno = err;
-    throwErrno("SegmentWriter: directory fsync failed for", dir);
-  }
-  ::close(dirFd);
-  return footer_.fileBytes;
+  footer.fileBytes = file.position() + sizeof(SegmentFooter);
+  footer.crc = structCrc(footer);
+  file.write(&footer, sizeof footer);
+  file.commit();
+  return footer.fileBytes;
 }
 
 // ---- MappedSegment ----------------------------------------------------
@@ -302,25 +290,28 @@ void MappedSegment::validate() {
   if (payload.offset + payload.bytes + kPayloadPadBytes > footer_.fileBytes)
     reject("payload plane is missing its read pad");
 
-  payload_ = base() + payload.offset;
-  metas_ = {reinterpret_cast<const PostingBlockMeta*>(
-                base() + footer_.planes[kPlaneMeta].offset),
-            footer_.totalBlocks};
-  docLengths_ = {reinterpret_cast<const std::uint32_t*>(
-                     base() + footer_.planes[kPlaneDocLen].offset),
-                 footer_.docCount};
-  docIds_ = {reinterpret_cast<const DocId*>(
-                 base() + footer_.planes[kPlaneDocId].offset),
-             footer_.docCount};
-  directory_ = {reinterpret_cast<const SegmentTermEntry*>(
-                    base() + footer_.planes[kPlaneDirectory].offset),
-                footer_.termCount};
+  planes_.payload = {base() + payload.offset, payload.bytes};
+  planes_.metas = {reinterpret_cast<const PostingBlockMeta*>(
+                       base() + footer_.planes[kPlaneMeta].offset),
+                   footer_.totalBlocks};
+  planes_.docLengths = {reinterpret_cast<const std::uint32_t*>(
+                            base() + footer_.planes[kPlaneDocLen].offset),
+                        footer_.docCount};
+  planes_.docIds = {reinterpret_cast<const DocId*>(
+                        base() + footer_.planes[kPlaneDocId].offset),
+                    footer_.docCount};
+  planes_.directory = {reinterpret_cast<const SegmentTermEntry*>(
+                           base() + footer_.planes[kPlaneDirectory].offset),
+                       footer_.termCount};
+  planes_.totalPostings = footer_.totalPostings;
+  planes_.avgDocLength = footer_.avgDocLength;
+  planes_.params = {footer_.bm25K1, footer_.bm25B};
 
   // Directory: terms must tile the payload and meta planes exactly, in
   // order, and account for every posting the footer declares.
   std::uint64_t payloadCursor = 0, blockCursor = 0, postingSum = 0;
   for (std::uint32_t t = 0; t < footer_.termCount; ++t) {
-    const SegmentTermEntry& entry = directory_[t];
+    const SegmentTermEntry& entry = planes_.directory[t];
     if (entry.payloadOffset != payloadCursor)
       reject("term " + std::to_string(t) + ": payload bytes not contiguous");
     if (entry.blockBegin != blockCursor)
@@ -344,20 +335,34 @@ void MappedSegment::validate() {
            " postings, footer declares " +
            std::to_string(footer_.totalPostings));
 
+  // Dense indices follow ascending original id, and the build rejects
+  // duplicate ids: a docid plane that is not strictly ascending would make
+  // equal-score ties (broken by doc id) disagree with the dense order DAAT
+  // walks in.
+  for (std::uint32_t d = 1; d < footer_.docCount; ++d)
+    if (planes_.docIds[d] <= planes_.docIds[d - 1])
+      reject("docid plane not strictly ascending at dense index " +
+             std::to_string(d));
+
   // Block metadata and payload: run the full viewOf validation for every
   // term, then decode every block once, so a segment either loads with
   // every invariant proven or not at all. viewOf bounds each block's doc
   // range below docCount; the decode pass proves the prefix-summed ids
-  // actually land on each block's declared lastDoc and that frequencies
-  // respect the block's declared maximum (the executors' pruning bound).
-  // A segment that loads can therefore never hand the query kernel an
-  // out-of-range doc id — hostile bytes fail here, not mid-query. The
-  // pass costs one more sweep over payload bytes the CRC check above
-  // already touched.
+  // actually land on each block's declared lastDoc, and that each
+  // posting's frequency, document length and BM25 weight respect the
+  // block's maxTf, minDocLen and maxWeight — the bounds the executors
+  // prune with. A segment that loads can therefore never hand the query
+  // kernel an out-of-range doc id or an unsound block bound — hostile
+  // bytes fail here, not mid-query. The pass costs one more sweep over
+  // payload bytes the CRC check above already touched.
+  std::vector<double> lengthNorms(footer_.docCount);
+  for (std::uint32_t d = 0; d < footer_.docCount; ++d)
+    lengthNorms[d] = bm25LengthNorm(planes_.docLengths[d], planes_.avgDocLength,
+                                    planes_.params);
   std::vector<DocId> docs(kPostingBlockSize);
   std::vector<std::uint32_t> freqs(kPostingBlockSize);
   for (std::uint32_t t = 0; t < footer_.termCount; ++t) {
-    const BlockPostingList list = postings(t);
+    const BlockPostingList list = validatedPostings(t);
     for (std::size_t b = 0; b < list.blockCount(); ++b) {
       std::uint32_t n = 0;
       try {
@@ -365,37 +370,35 @@ void MappedSegment::validate() {
       } catch (const std::exception& e) {
         reject("term " + std::to_string(t) + ": " + e.what());
       }
-      const std::uint32_t maxTf = list.block(b).maxTf;
-      for (std::uint32_t i = 0; i < n; ++i)
-        if (freqs[i] > maxTf)
+      const PostingBlockMeta& meta = list.block(b);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (freqs[i] > meta.maxTf)
           reject("term " + std::to_string(t) +
                  ": frequency above the block's declared maximum");
+        if (planes_.docLengths[docs[i]] < meta.minDocLen)
+          reject("term " + std::to_string(t) +
+                 ": document shorter than the block's declared minimum");
+        if (postingWeight(freqs[i], lengthNorms[docs[i]], planes_.params) >
+            meta.maxWeight)
+          reject("term " + std::to_string(t) +
+                 ": posting weight above the block's score bound");
+      }
     }
   }
 }
 
-BlockPostingList MappedSegment::postings(TermId term) const {
-  if (term >= footer_.termCount)
-    throw std::out_of_range("MappedSegment::postings: term out of range");
-  const SegmentTermEntry& entry = directory_[term];
+BlockPostingList MappedSegment::validatedPostings(TermId term) const {
+  const SegmentTermEntry& entry = planes_.directory[term];
   try {
     return BlockPostingList::viewOf(
-        metas_.subspan(entry.blockBegin, entry.blockCount),
-        payload_ + entry.payloadOffset, entry.payloadBytes, entry.postingCount,
-        footer_.docCount, footer_.avgDocLength, {footer_.bm25K1, footer_.bm25B});
+        planes_.metas.subspan(entry.blockBegin, entry.blockCount),
+        planes_.payload.data() + entry.payloadOffset, entry.payloadBytes,
+        entry.postingCount, footer_.docCount, planes_.avgDocLength,
+        planes_.params);
   } catch (const std::invalid_argument& e) {
     throw SegmentFormatError("segment " + path_ + ": term " +
                              std::to_string(term) + ": " + e.what());
   }
-}
-
-std::uint64_t writeSegment(const InvertedIndex& index, const std::string& path) {
-  SegmentWriter writer(path, index.termCount(), index.docLengths(),
-                       index.docIds(), index.averageDocLength(),
-                       index.builtParams());
-  for (TermId t = 0; t < index.termCount(); ++t)
-    writer.addList(t, index.postings(t));
-  return writer.finish();
 }
 
 }  // namespace resex

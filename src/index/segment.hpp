@@ -19,18 +19,26 @@
 // naturally aligned and a cursor reads the payload zero-copy) and is
 // independently CRC-32C checksummed, so a single flipped byte anywhere is
 // pinned to a plane at load time. The footer sits at the very end of the
-// file — a streaming writer emits payload bytes as lists arrive and only
-// needs the (small) metadata planes in memory.
+// file.
+//
+// The planes are also the in-memory form of a shard: an InvertedIndex
+// built from documents encodes straight into the same five planes, held in
+// heap buffers, and serves views over them exactly as it serves views over
+// a mapped file (SegmentPlanes is that common view). writeSegment therefore
+// writes a built index's planes as they are.
 //
 // The reader treats the file as untrusted input: header/footer/plane-table
 // validation (with overflow-safe count bounds), per-plane checksums,
-// directory coverage checks, full per-term block-metadata validation
-// (BlockPostingList::viewOf, which also bounds every doc range below the
-// footer's docCount), and a one-shot decode of every block (prefix-summed
-// ids must land on each block's declared lastDoc; frequencies must respect
-// the block maximum) all run before the first query; any inconsistency
-// throws SegmentFormatError. A segment that loads can never hand the query
-// kernel an out-of-range doc id.
+// directory coverage checks, a strictly ascending docid plane, full
+// per-term block-metadata validation (BlockPostingList::viewOf, which also
+// bounds every doc range below the footer's docCount), and a one-shot
+// decode of every block all run before the first query; any inconsistency
+// throws SegmentFormatError. The decode pass proves what DAAT pruning
+// relies on: prefix-summed ids land on each block's declared lastDoc, and
+// every posting's frequency, document length and BM25 weight (at the
+// footer's statistics) respect its block's maxTf, minDocLen and maxWeight.
+// A segment that loads can never hand the query kernel an out-of-range doc
+// id or a block bound that undercuts a posting it covers.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +48,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "index/block_codec.hpp"
 
@@ -126,58 +133,39 @@ class SegmentFormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Streams an index into a segment file. Payload bytes go straight to disk
-/// as lists arrive (checksummed incrementally); only the per-term metadata
-/// — block metas and directory rows, a fraction of a percent of the
-/// payload — is buffered until finish().
-class SegmentWriter {
- public:
-  /// Opens `path` (truncating) and writes the header page. `docLengths`
-  /// and `docIds` are the dense-index planes; `avgDocLength`/`params` are
-  /// the statistics the lists' block bounds were built with.
-  SegmentWriter(const std::string& path, std::uint32_t termCount,
-                std::span<const std::uint32_t> docLengths,
-                std::span<const DocId> docIds, double avgDocLength,
-                const Bm25Params& params);
-  ~SegmentWriter();
+/// Views of a segment's five planes plus the statistics its block bounds
+/// were built with — the one shape a shard's postings take, whether the
+/// bytes live in heap buffers or in an mmap'd file. The payload span holds
+/// the encoded bytes only; kPayloadPadBytes of readable slack follow it.
+struct SegmentPlanes {
+  std::span<const std::uint8_t> payload;
+  std::span<const PostingBlockMeta> metas;
+  std::span<const std::uint32_t> docLengths;
+  std::span<const DocId> docIds;
+  std::span<const SegmentTermEntry> directory;
+  std::uint64_t totalPostings = 0;
+  double avgDocLength = 0.0;
+  Bm25Params params{};
 
-  SegmentWriter(const SegmentWriter&) = delete;
-  SegmentWriter& operator=(const SegmentWriter&) = delete;
-
-  /// Appends term `term`'s list. Terms must arrive in ascending order with
-  /// no gaps (every term in [0, termCount), empty lists included).
-  void addList(TermId term, const BlockPostingList& list);
-
-  /// Writes the remaining planes and the footer, flushes, and closes.
-  /// Returns the file's total byte size. The writer is unusable after.
-  std::uint64_t finish();
-
- private:
-  void writeRaw(const void* data, std::size_t size);
-  void padToPage();
-
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t filePos_ = 0;
-  std::uint32_t termCount_ = 0;
-  TermId nextTerm_ = 0;
-  SegmentFooter footer_;
-  std::uint64_t payloadCursor_ = 0;  ///< bytes written into the payload plane
-  std::uint32_t payloadCrc_ = 0;
-  std::vector<PostingBlockMeta> metas_;
-  std::vector<SegmentTermEntry> directory_;
-  std::vector<std::uint32_t> docLengths_;
-  std::vector<DocId> docIds_;
-  bool finished_ = false;
+  std::uint32_t termCount() const noexcept {
+    return static_cast<std::uint32_t>(directory.size());
+  }
+  std::uint32_t docCount() const noexcept {
+    return static_cast<std::uint32_t>(docLengths.size());
+  }
+  /// Zero-copy view of term `term`'s list (term < termCount()). The
+  /// planes must already be proven — validated by MappedSegment at load,
+  /// or encoded by this process — so the view is not re-validated.
+  BlockPostingList postings(TermId term) const;
 };
 
 /// A segment file mapped read-only. Construction validates the entire file
 /// (header, footer, plane table, per-plane CRCs, directory coverage,
 /// every term's block metadata, and a decode pass over every block) and
 /// throws SegmentFormatError on any
-/// inconsistency; afterwards postings() returns zero-copy views whose
-/// cursors iterate directly over the mapped bytes. Keep the segment alive
-/// as long as any view (or index built from it) is in use.
+/// inconsistency; afterwards planes().postings() returns zero-copy views
+/// whose cursors iterate directly over the mapped bytes. Keep the segment
+/// alive as long as any view (or index built from it) is in use.
 class MappedSegment {
  public:
   explicit MappedSegment(const std::string& path);
@@ -195,17 +183,14 @@ class MappedSegment {
   Bm25Params bm25Params() const noexcept {
     return {footer_.bm25K1, footer_.bm25B};
   }
-  std::span<const std::uint32_t> docLengths() const noexcept { return docLengths_; }
-  std::span<const DocId> docIds() const noexcept { return docIds_; }
+  /// The mapped planes (valid while this segment lives).
+  const SegmentPlanes& planes() const noexcept { return planes_; }
   std::uint64_t documentFrequency(TermId term) const {
     if (term >= footer_.termCount)
       throw std::out_of_range(
           "MappedSegment::documentFrequency: term out of range");
-    return directory_[term].postingCount;
+    return planes_.directory[term].postingCount;
   }
-  /// Zero-copy view of one term's posting list (re-validated on the way
-  /// out — cheap relative to any use of the list).
-  BlockPostingList postings(TermId term) const;
 
   /// Advises the kernel to drop this segment's pages (madvise on the
   /// mapping plus posix_fadvise(POSIX_FADV_DONTNEED) on the file). Called
@@ -220,19 +205,19 @@ class MappedSegment {
   }
   [[noreturn]] void reject(const std::string& what) const;
   void validate();
+  /// Term `term`'s list, validated by BlockPostingList::viewOf.
+  BlockPostingList validatedPostings(TermId term) const;
 
   std::string path_;
   void* map_ = nullptr;
   std::size_t mapBytes_ = 0;
   SegmentFooter footer_;
-  const std::uint8_t* payload_ = nullptr;
-  std::span<const PostingBlockMeta> metas_;
-  std::span<const std::uint32_t> docLengths_;
-  std::span<const DocId> docIds_;
-  std::span<const SegmentTermEntry> directory_;
+  SegmentPlanes planes_;
 };
 
-/// Writes `index` to `path` as a segment file; returns the file size.
+/// Writes `index` to `path` as a segment file — header page, the index's
+/// five planes as they are (each page-aligned and checksummed), footer —
+/// then fsyncs the file and its directory. Returns the file size.
 std::uint64_t writeSegment(const InvertedIndex& index, const std::string& path);
 
 }  // namespace resex

@@ -12,6 +12,21 @@ void varbyteEncode(std::uint64_t value, std::vector<std::uint8_t>& out) {
   out.push_back(static_cast<std::uint8_t>(value | 0x80));
 }
 
+std::uint8_t* varbyteEncode(std::uint64_t value, std::uint8_t* out) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value & 0x7F);
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value | 0x80);
+  return out;
+}
+
+std::size_t varbyteSize(std::uint64_t value) {
+  std::size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
 std::uint64_t varbyteDecode(const std::uint8_t* bytes, std::size_t size,
                             std::size_t& offset) {
   std::uint64_t value = 0;

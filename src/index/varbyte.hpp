@@ -2,6 +2,7 @@
 // monotone sequences — the standard posting-list compression baseline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,13 @@ namespace resex {
 /// Appends the VByte encoding of `value` to `out` (7 bits per byte, high
 /// bit set on the final byte).
 void varbyteEncode(std::uint64_t value, std::vector<std::uint8_t>& out);
+
+/// Raw-buffer overload: writes the encoding at `out` (which must have room
+/// for varbyteSize(value) bytes) and returns the byte past it.
+std::uint8_t* varbyteEncode(std::uint64_t value, std::uint8_t* out);
+
+/// Encoded length of `value` in bytes (1..10).
+std::size_t varbyteSize(std::uint64_t value);
 
 /// Decodes one value starting at `offset`; advances `offset` past it.
 /// Throws std::out_of_range on truncated input and on encodings whose bits

@@ -930,11 +930,18 @@ std::string QueryBroker::shardsJson() const {
     std::shared_lock lock(mappingMutex_);
     mapping = mapping_;
   }
+  std::vector<std::shared_ptr<const InvertedIndex>> live;
+  if (liveMode_) {
+    std::shared_lock lock(liveMutex_);
+    live = liveShards_;
+  }
   JsonWriter json;
   json.beginObject();
   json.field("window_seconds", load.windowSeconds);
   json.key("shards").beginArray();
   for (std::size_t s = 0; s < mapping.size(); ++s) {
+    const InvertedIndex& shardIndex =
+        liveMode_ ? *live[s] : index_.shard(groupOf_[s]);
     json.beginObject();
     json.field("shard", static_cast<std::uint64_t>(s));
     json.field("partition", static_cast<std::uint64_t>(groupOf_[s]));
@@ -946,6 +953,9 @@ std::string QueryBroker::shardsJson() const {
                load.shardTasks[s] > 0
                    ? load.shardBusySeconds[s] / static_cast<double>(load.shardTasks[s])
                    : 0.0);
+    json.field("index_bytes", static_cast<std::uint64_t>(shardIndex.indexBytes()));
+    json.field("resident_bytes",
+               static_cast<std::uint64_t>(shardIndex.residentBytes()));
     json.endObject();
   }
   json.endArray();

@@ -312,7 +312,9 @@ class QueryBroker {
   std::string debugJson() const;
   /// JSON for /debug/shards: per-shard heat from the live ObservedLoad
   /// window — tasks, postings scanned, busy seconds, and the machine each
-  /// physical shard is currently mapped to.
+  /// physical shard is currently mapped to — plus the memory of the index
+  /// it serves: index_bytes (what the planner charges) and resident_bytes
+  /// (what the shard actually holds, InvertedIndex::residentBytes).
   std::string shardsJson() const;
   /// JSON for /debug/tenants: per-tenant spec (weight, guarantee, burst
   /// cap), live token state (held / entitled / cap), window heat, and the

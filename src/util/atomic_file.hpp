@@ -8,7 +8,7 @@
 // that debris is invisible to readers of the final path and is what a
 // recovery pass collects with removeTempFiles().
 //
-// SegmentWriter::finish already applies the fsync-file-then-parent-dir
+// writeSegment already applies the fsync-file-then-parent-dir
 // discipline for freshly built segments; this helper packages the same
 // discipline for *copies* (the migration mover) plus an enumerable crash
 // hook so a test can kill the protocol between every pair of steps and

@@ -1,7 +1,7 @@
 // CRC-32C (Castagnoli) — the plane checksum of the on-disk segment format.
 //
 // Chainable: `crc32c(b, nb, crc32c(a, na))` equals `crc32c(ab, na + nb)`,
-// so a streaming writer can checksum a plane as it flushes it. Dispatches
+// so a plane can be checksummed in pieces. Dispatches
 // to the SSE4.2 (x86-64) or ARMv8-CRC hardware instructions when the host
 // has them; the table-driven software path is the oracle and the fallback.
 #pragma once

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "index/cursor.hpp"
+#include "index/encoded_list.hpp"
 #include "index/varbyte.hpp"
 #include "util/rng.hpp"
 
@@ -38,7 +39,8 @@ TEST(BlockCodec, RoundtripFuzzMatchesVbyteReference) {
     const auto gapBound = static_cast<std::uint32_t>(1 + rng.below(5000));
     const auto freqBound = static_cast<std::uint32_t>(1 + rng.below(300));
     const Postings p = randomPostings(rng, length, gapBound, freqBound);
-    const BlockPostingList list(p.docs, p.freqs);
+    const EncodedList encoded(p.docs, p.freqs);
+    const BlockPostingList& list = encoded.list;
     ASSERT_EQ(list.documentCount(), length);
 
     std::vector<DocId> docs;
@@ -56,7 +58,8 @@ TEST(BlockCodec, RoundtripFuzzMatchesVbyteReference) {
 TEST(BlockCodec, BlockMetadataInvariants) {
   Rng rng(72);
   const Postings p = randomPostings(rng, 1000, 40, 25);
-  const BlockPostingList list(p.docs, p.freqs);
+  const EncodedList encoded(p.docs, p.freqs);
+  const BlockPostingList& list = encoded.list;
   ASSERT_EQ(list.blockCount(),
             (p.docs.size() + kPostingBlockSize - 1) / kPostingBlockSize);
   std::size_t covered = 0;
@@ -86,7 +89,8 @@ TEST(BlockCodec, ZeroBitWidthsEncodeDenseRuns) {
   std::vector<DocId> docs(kPostingBlockSize);
   std::vector<std::uint32_t> freqs(kPostingBlockSize, 1);
   for (std::uint32_t i = 0; i < kPostingBlockSize; ++i) docs[i] = 100 + i;
-  const BlockPostingList list(docs, freqs);
+  const EncodedList encoded(docs, freqs);
+  const BlockPostingList& list = encoded.list;
   ASSERT_EQ(list.blockCount(), 1u);
   EXPECT_EQ(list.block(0).docBits, 0);
   EXPECT_EQ(list.block(0).freqBits, 0);
@@ -100,7 +104,8 @@ TEST(BlockCodec, ZeroBitWidthsEncodeDenseRuns) {
 TEST(BlockCodec, VbyteTailBlock) {
   Rng rng(73);
   const Postings p = randomPostings(rng, kPostingBlockSize + 2, 1000, 50);
-  const BlockPostingList list(p.docs, p.freqs);
+  const EncodedList encoded(p.docs, p.freqs);
+  const BlockPostingList& list = encoded.list;
   ASSERT_EQ(list.blockCount(), 2u);
   EXPECT_NE(list.block(0).docBits, kVbyteTailBits);
   EXPECT_EQ(list.block(1).docBits, kVbyteTailBits);
@@ -124,7 +129,8 @@ TEST(BlockCodec, BlockBoundsDominateEveryPosting) {
   }
   const double avgLen = total / static_cast<double>(docLengths.size());
   const Bm25Params params;
-  const BlockPostingList list(p.docs, p.freqs, docLengths, avgLen, params);
+  const EncodedList encoded(p.docs, p.freqs, docLengths, avgLen, params);
+  const BlockPostingList& list = encoded.list;
   EXPECT_TRUE(list.boundsExactFor(avgLen, params));
   EXPECT_FALSE(list.boundsExactFor(avgLen + 1.0, params));
   EXPECT_FALSE(list.boundsExactFor(avgLen, Bm25Params{.k1 = 0.9, .b = 0.75}));
@@ -151,7 +157,8 @@ TEST(BlockCodec, BlockBoundsDominateEveryPosting) {
 }
 
 TEST(BlockCodec, EmptyListBehaves) {
-  const BlockPostingList list(std::vector<DocId>{}, std::vector<std::uint32_t>{});
+  const EncodedList encoded(std::vector<DocId>{}, std::vector<std::uint32_t>{});
+  const BlockPostingList& list = encoded.list;
   EXPECT_EQ(list.documentCount(), 0u);
   EXPECT_EQ(list.blockCount(), 0u);
   std::vector<DocId> docs{1, 2, 3};
@@ -162,15 +169,15 @@ TEST(BlockCodec, EmptyListBehaves) {
 
   CursorBuffer buffer;
   TermCursor cursor;
-  cursor.init(&list, 1.0, 1.0, false, &buffer, nullptr);
+  cursor.init(list, 1.0, 1.0, false, &buffer, nullptr);
   EXPECT_TRUE(cursor.exhausted());
 }
 
 TEST(BlockCodec, RejectsInvalidInput) {
-  EXPECT_THROW(BlockPostingList({3, 3}, {1, 1}), std::invalid_argument);
-  EXPECT_THROW(BlockPostingList({5, 4}, {1, 1}), std::invalid_argument);
-  EXPECT_THROW(BlockPostingList({1, 2}, {1, 0}), std::invalid_argument);
-  EXPECT_THROW(BlockPostingList({1, 2}, {1}), std::invalid_argument);
+  EXPECT_THROW(EncodedList({3, 3}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(EncodedList({5, 4}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(EncodedList({1, 2}, {1, 0}), std::invalid_argument);
+  EXPECT_THROW(EncodedList({1, 2}, {1}), std::invalid_argument);
 }
 
 TEST(BlockCodec, TruncatedVbyteInputThrowsEverywhere) {
@@ -212,10 +219,11 @@ TEST(BlockCodec, CursorNextGeqMatchesLinearReference) {
     const std::size_t length = 1 + rng.below(900);
     const auto gapBound = static_cast<std::uint32_t>(1 + rng.below(60));
     const Postings p = randomPostings(rng, length, gapBound, 9);
-    const BlockPostingList list(p.docs, p.freqs);
+    const EncodedList encoded(p.docs, p.freqs);
+    const BlockPostingList& list = encoded.list;
     CursorBuffer buffer;
     TermCursor cursor;
-    cursor.init(&list, 1.0, 1.0, false, &buffer, nullptr);
+    cursor.init(list, 1.0, 1.0, false, &buffer, nullptr);
     DocId target = 0;
     while (!cursor.exhausted()) {
       target += static_cast<DocId>(rng.below(2 * gapBound + 8));
@@ -240,12 +248,13 @@ TEST(BlockCodec, CursorSkipsBlocksWithoutDecoding) {
   // passes 7 blocks on metadata alone and decodes nothing.
   Rng rng(77);
   const Postings p = randomPostings(rng, 8 * kPostingBlockSize, 6, 4);
-  const BlockPostingList list(p.docs, p.freqs);
+  const EncodedList encoded(p.docs, p.freqs);
+  const BlockPostingList& list = encoded.list;
   ASSERT_EQ(list.blockCount(), 8u);
   CursorBuffer buffer;
   ExecStats stats;
   TermCursor cursor;
-  cursor.init(&list, 1.0, 1.0, false, &buffer, &stats);
+  cursor.init(list, 1.0, 1.0, false, &buffer, &stats);
   cursor.nextGeq(list.block(7).firstDoc);
   EXPECT_EQ(cursor.doc(), list.block(7).firstDoc);
   EXPECT_EQ(stats.blocksSkipped, 7u);

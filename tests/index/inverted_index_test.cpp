@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "index/partition.hpp"
+#include "index/segment.hpp"
 
 namespace resex {
 namespace {
@@ -75,6 +76,42 @@ TEST(Index, BytesAccountedAndCompressed) {
   EXPECT_GT(index.indexBytes(), 0u);
   // VByte with small deltas: well under 8 bytes per posting (docid+freq).
   EXPECT_LT(index.indexBytes(), index.totalPostings() * 8);
+}
+
+TEST(Index, ListsShareOnePayloadAndOneMetaPlane) {
+  // An in-memory index stores postings in a fixed number of buffers, not
+  // buffers per term: every list is a view into the shared planes, laid
+  // out exactly as the segment directory says.
+  const SyntheticDocConfig config{.seed = 4, .docCount = 800, .termCount = 300};
+  const InvertedIndex index(config.termCount, generateDocuments(config));
+  const SegmentPlanes& planes = index.planes();
+  ASSERT_EQ(planes.directory.size(), index.termCount());
+  for (TermId t = 0; t < index.termCount(); ++t) {
+    const PostingList list = index.postings(t);
+    const SegmentTermEntry& entry = planes.directory[t];
+    EXPECT_EQ(list.payload().data(), planes.payload.data() + entry.payloadOffset)
+        << "term " << t;
+    EXPECT_EQ(list.payload().size(), entry.payloadBytes) << "term " << t;
+    EXPECT_EQ(list.blocks().data(), planes.metas.data() + entry.blockBegin)
+        << "term " << t;
+    EXPECT_EQ(list.blockCount(), entry.blockCount) << "term " << t;
+    EXPECT_EQ(list.documentCount(), entry.postingCount) << "term " << t;
+  }
+  EXPECT_EQ(index.indexBytes(), planes.payload.size() + planes.metas.size_bytes());
+}
+
+TEST(Index, ResidentBytesStayNearIndexBytes) {
+  // What a shard keeps resident is what the planner charges (indexBytes)
+  // plus the doc-length/doc-id planes and a small constant per term (its
+  // directory row).
+  constexpr std::size_t kPerTermBytes = sizeof(SegmentTermEntry);
+  const SyntheticDocConfig config{.seed = 6, .docCount = 1500, .termCount = 500};
+  const InvertedIndex index(config.termCount, generateDocuments(config));
+  const std::size_t docPlanes = index.documentCount() * 2 * sizeof(std::uint32_t);
+  EXPECT_GE(index.residentBytes(), index.indexBytes() + docPlanes);
+  EXPECT_LE(index.residentBytes(), index.indexBytes() + docPlanes +
+                                       kPayloadPadBytes +
+                                       index.termCount() * kPerTermBytes);
 }
 
 TEST(Index, DocumentFrequenciesFollowZipfShape) {

@@ -37,6 +37,33 @@ TEST(Partition, WeightedSplitFollowsWeights) {
     EXPECT_NEAR(part.docFraction(i), 1.0 / 6.0, 0.05);
 }
 
+TEST(Partition, SearchTopKAccumulatesEveryExecStat) {
+  // perShardStats must carry each shard's full ExecStats — block decodes,
+  // skips and heap prunes included — summed over queries.
+  Fixture f;
+  const PartitionedIndex part(f.config.termCount, f.docs, 3);
+  const std::vector<std::vector<TermId>> queries{{0, 1}, {2, 30, 95}, {0, 5, 11}};
+  std::vector<ExecStats> perShard(part.shardCount());
+  std::vector<ExecStats> expected(part.shardCount());
+  for (const auto& query : queries) {
+    part.searchTopK(query, 5, {}, &perShard);
+    for (std::size_t s = 0; s < part.shardCount(); ++s)
+      topKDisjunctive(part.shard(s), query, 5, {}, &expected[s], &part.globalStats());
+  }
+  std::size_t decoded = 0, skippedOrPruned = 0;
+  for (std::size_t s = 0; s < part.shardCount(); ++s) {
+    EXPECT_EQ(perShard[s].postingsScanned, expected[s].postingsScanned) << s;
+    EXPECT_EQ(perShard[s].candidatesScored, expected[s].candidatesScored) << s;
+    EXPECT_EQ(perShard[s].blocksDecoded, expected[s].blocksDecoded) << s;
+    EXPECT_EQ(perShard[s].blocksSkipped, expected[s].blocksSkipped) << s;
+    EXPECT_EQ(perShard[s].heapThresholdPrunes, expected[s].heapThresholdPrunes) << s;
+    decoded += perShard[s].blocksDecoded;
+    skippedOrPruned += perShard[s].blocksSkipped + perShard[s].heapThresholdPrunes;
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(skippedOrPruned, 0u);  // the counters that used to be dropped
+}
+
 TEST(Partition, GlobalStatsMatchWholeIndex) {
   Fixture f;
   const PartitionedIndex part(f.config.termCount, f.docs, 5);

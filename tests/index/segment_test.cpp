@@ -456,6 +456,86 @@ TEST(Segment, HostileBlockCountOverflowIsRejected) {
   EXPECT_THROW(MappedSegment{mutated}, SegmentFormatError);
 }
 
+/// Writes `bytes` to a scratch file and expects the load to fail with a
+/// message naming `check`: the crafted files below carry valid CRCs and
+/// pass every older check, so only the one under test may reject them.
+void expectRejectedBy(const std::vector<std::uint8_t>& bytes,
+                      const std::string& name, const std::string& check) {
+  const std::string path = tempPath(name);
+  writeFile(path, bytes);
+  try {
+    MappedSegment segment(path);
+    ADD_FAILURE() << name << ": loaded, expected rejection by " << check;
+  } catch (const SegmentFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(check), std::string::npos)
+        << name << ": rejected for another reason: " << e.what();
+  }
+}
+
+TEST(Segment, HostileDocIdOrderIsRejected) {
+  // Dense order is ascending original id; two swapped docid rows would let
+  // equal-score ties (broken by doc id) disagree with the DAAT walk order.
+  const InvertedIndex built = buildIndex(59, 200, 80);
+  const std::string path = tempPath("hostile-docid-src.seg");
+  writeSegment(built, path);
+  auto bytes = readFile(path);
+  const SegmentFooter footer = footerOf(bytes);
+  const std::uint64_t at = footer.planes[kPlaneDocId].offset;
+  const auto first = readAt<DocId>(bytes, at);
+  const auto second = readAt<DocId>(bytes, at + sizeof(DocId));
+  ASSERT_LT(first, second);
+  writeAt(bytes, at, second);
+  writeAt(bytes, at + sizeof(DocId), first);
+  recrcPlaneAndFooter(bytes, kPlaneDocId);
+  expectRejectedBy(bytes, "hostile-docid.seg", "docid plane not strictly ascending");
+}
+
+/// The first block of the first term with at least one block.
+std::uint64_t firstBlockOffset(const std::vector<std::uint8_t>& bytes) {
+  const SegmentFooter footer = footerOf(bytes);
+  for (std::uint32_t t = 0; t < footer.termCount; ++t) {
+    const auto entry = readAt<SegmentTermEntry>(
+        bytes, footer.planes[kPlaneDirectory].offset + t * sizeof(SegmentTermEntry));
+    if (entry.blockCount > 0)
+      return footer.planes[kPlaneMeta].offset +
+             entry.blockBegin * sizeof(PostingBlockMeta);
+  }
+  return 0;
+}
+
+TEST(Segment, HostileMinDocLenIsRejected) {
+  // A block's minDocLen must not exceed any of its documents' lengths: the
+  // recomputed (global-statistics) bound is only valid from below.
+  const InvertedIndex built = buildIndex(61, 400, 100);
+  const std::string path = tempPath("hostile-minlen-src.seg");
+  writeSegment(built, path);
+  auto bytes = readFile(path);
+  const std::uint64_t at = firstBlockOffset(bytes);
+  ASSERT_NE(at, 0u);
+  auto block = readAt<PostingBlockMeta>(bytes, at);
+  block.minDocLen += 1;  // the built value is the exact minimum
+  writeAt(bytes, at, block);
+  recrcPlaneAndFooter(bytes, kPlaneMeta);
+  expectRejectedBy(bytes, "hostile-minlen.seg", "shorter than the block's declared minimum");
+}
+
+TEST(Segment, HostileMaxWeightIsRejected) {
+  // A block's maxWeight must dominate every posting's weight at the built
+  // statistics, or exact-bound pruning would skip a winning document.
+  const InvertedIndex built = buildIndex(67, 400, 100);
+  const std::string path = tempPath("hostile-weight-src.seg");
+  writeSegment(built, path);
+  auto bytes = readFile(path);
+  const std::uint64_t at = firstBlockOffset(bytes);
+  ASSERT_NE(at, 0u);
+  auto block = readAt<PostingBlockMeta>(bytes, at);
+  ASSERT_GT(block.maxWeight, 0.0);
+  block.maxWeight *= 0.5;  // still finite and non-negative
+  writeAt(bytes, at, block);
+  recrcPlaneAndFooter(bytes, kPlaneMeta);
+  expectRejectedBy(bytes, "hostile-weight.seg", "posting weight above the block's score bound");
+}
+
 TEST(Segment, DocumentFrequencyRejectsOutOfRangeTerm) {
   const InvertedIndex built = buildIndex(53, 50, 20);
   const std::string path = tempPath("df-range.seg");
@@ -464,27 +544,6 @@ TEST(Segment, DocumentFrequencyRejectsOutOfRangeTerm) {
   EXPECT_EQ(segment.documentFrequency(0), built.documentFrequency(0));
   EXPECT_THROW(segment.documentFrequency(segment.termCount()),
                std::out_of_range);
-}
-
-// ---- Writer contract --------------------------------------------------
-
-TEST(SegmentWriter, RejectsOutOfOrderTerms) {
-  const InvertedIndex built = buildIndex(31, 50, 20);
-  SegmentWriter writer(tempPath("order.seg"), built.termCount(),
-                       built.docLengths(), built.docIds(),
-                       built.averageDocLength(), built.builtParams());
-  writer.addList(0, built.postings(0));
-  EXPECT_THROW(writer.addList(2, built.postings(2)), std::invalid_argument);
-  EXPECT_THROW(writer.addList(0, built.postings(0)), std::invalid_argument);
-}
-
-TEST(SegmentWriter, RejectsFinishWithMissingTerms) {
-  const InvertedIndex built = buildIndex(37, 50, 20);
-  SegmentWriter writer(tempPath("missing.seg"), built.termCount(),
-                       built.docLengths(), built.docIds(),
-                       built.averageDocLength(), built.builtParams());
-  writer.addList(0, built.postings(0));
-  EXPECT_THROW(writer.finish(), std::logic_error);
 }
 
 }  // namespace

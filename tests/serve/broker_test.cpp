@@ -288,6 +288,10 @@ TEST(QueryBroker, IntrospectionHeatMatchesObservedLoad) {
     EXPECT_EQ(shards.at(base + "tasks"), std::to_string(peeked.shardTasks[s]));
     EXPECT_EQ(shards.at(base + "machine"),
               std::to_string(broker.mapping()[s]));
+    const InvertedIndex& shard = index.shard(instance.replicaGroupOf(s));
+    EXPECT_EQ(shards.at(base + "index_bytes"), std::to_string(shard.indexBytes()));
+    EXPECT_EQ(shards.at(base + "resident_bytes"),
+              std::to_string(shard.residentBytes()));
   }
   const auto debug = MiniJson::flatten(broker.debugJson());
   EXPECT_EQ(debug.at("queries"), "15");
