@@ -4,7 +4,7 @@
 // time"; this layer answers "where did *this query* spend time". A
 // TraceContext — a 64-bit trace id plus the parent span id — is allocated
 // at the broker when a query is admitted and propagated by value through
-// the MPMC queue task into workers, so every span a query touches (route,
+// the work-queue task into workers, so every span a query touches (route,
 // queue wait, per-partition execution, merge) links into one tree even
 // though the spans are recorded on different threads.
 //

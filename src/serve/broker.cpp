@@ -33,10 +33,6 @@ obs::Counter& queriesCounter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("serve.queries");
   return c;
 }
-obs::Counter& cacheHitCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("serve.cache_hits");
-  return c;
-}
 obs::Counter& expiredCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("serve.expired_queries");
@@ -75,9 +71,11 @@ obs::Gauge& peakDepthGauge() {
 /// deadline — calls QueryBroker::deliver, which merges, accounts, and
 /// invokes the completion exactly once (the `delivered` flag arbitrates).
 struct QueryBroker::PendingQuery {
+  explicit PendingQuery(ResultKey queryKey) : key(std::move(queryKey)) {}
+
   std::mutex mutex;
-  std::vector<TermId> terms;
-  std::uint32_t k = 0;
+  /// The canonical query: the terms workers execute and the cache key.
+  const ResultKey key;
   TenantId tenant = 0;
   bool hasDeadline = false;
   Clock::time_point t0{};
@@ -92,9 +90,11 @@ struct QueryBroker::PendingQuery {
   /// before recording a partial.
   std::atomic<bool> expired{false};
   /// Physical shards the router picked for this query — the provenance a
-  /// complete result is cached with (written once at route time, before
+  /// complete result is cached with — and the cache's invalidation
+  /// generation at that moment (both written once at route time, before
   /// any task can complete).
   std::vector<ShardId> servedBy;
+  std::uint64_t cacheGeneration = 0;
   /// Invoked exactly once by deliver().
   QueryCompletion completion;
   /// Root-span state for request-scoped tracing (inert when untraced).
@@ -409,7 +409,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     }
   }
 
-  const ResultKey key{terms, k};
+  ResultKey key(terms, k);
   if (cache_.get(key, result.docs)) {
     result.complete = true;
     result.cacheHit = true;
@@ -417,7 +417,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     result.latencySeconds = secondsBetween(t0, Clock::now());
     cacheHits_.fetch_add(1, std::memory_order_relaxed);
     tstats.cacheHits.fetch_add(1, std::memory_order_relaxed);
-    cacheHitCounter().add();
     {
       std::lock_guard lock(latencyMutex_);
       latency_.add(result.latencySeconds);
@@ -436,9 +435,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     return true;
   }
 
-  auto pending = std::make_shared<PendingQuery>();
-  pending->terms = terms;
-  pending->k = k;
+  auto pending = std::make_shared<PendingQuery>(std::move(key));
   pending->tenant = tenant;
   pending->t0 = t0;
   pending->hasDeadline = deadlineSeconds > 0.0;
@@ -467,6 +464,10 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   {
     obs::ScopedSpan routeSpan(rootCtx, "query.route");
     std::shared_lock lock(mappingMutex_);
+    // Stamped under the mapping lock: a move swaps the mapping before it
+    // invalidates the cache, so a query routed to the old placement always
+    // carries a generation older than that invalidation.
+    pending->cacheGeneration = cache_.generation();
     std::vector<std::uint32_t> tokenPicks;
     if (tenantMode_)
       verdict = bank_->acquire(
@@ -568,12 +569,12 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
     result.partitionsAnswered = pending->answered;
     result.complete = pending->answered == partitionCount_;
     obs::ScopedSpan mergeSpan(pending->rootCtx, "query.merge");
-    result.docs = mergeTopK(pending->partials, pending->k);
+    result.docs = mergeTopK(pending->partials, pending->key.k());
     if (mergeSpan.active())
       mergeSpan.arg("answered", static_cast<double>(result.partitionsAnswered));
     // Still-queued shed tasks keep the PendingQuery alive until they
     // drain; drop the merged partials now so what they pin is small.
-    // (`terms` must stay: workers read it without the mutex while
+    // (`key` must stay: workers read its terms without the mutex while
     // executing.) Workers only touch `partials` under the mutex after
     // checking `delivered`, so clearing here is safe.
     pending->partials.clear();
@@ -587,8 +588,7 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
     tstats.expiredQueries.fetch_add(1, std::memory_order_relaxed);
     expiredCounter().add();
   } else {
-    cache_.put(ResultKey{pending->terms, pending->k}, result.docs,
-               pending->servedBy);
+    cache_.put(pending->key, result.docs, pending->servedBy, pending->cacheGeneration);
   }
   {
     std::lock_guard lock(latencyMutex_);
@@ -725,9 +725,8 @@ void QueryBroker::workerLoop(std::size_t machine) {
         const InvertedIndex& shardIndex =
             liveIndex ? *liveIndex : index_.shard(task.partition);
         const auto topDocs =
-            topKDisjunctiveInto(shardIndex, pending.terms,
-                                pending.k, config_.bm25, scratch, &exec,
-                                &index_.globalStats());
+            topKDisjunctiveInto(shardIndex, pending.key.terms(), pending.key.k(),
+                                config_.bm25, scratch, &exec, &index_.globalStats());
         partial.assign(topDocs.begin(), topDocs.end());
         const double realExec = secondsBetween(start, Clock::now());
         const double paced =
@@ -907,6 +906,17 @@ std::string QueryBroker::debugJson() const {
   json.field("p99_seconds", load.p99);
   json.field("mean_seconds", load.meanLatency);
   json.field("block_skip_ratio", load.blockSkipRatio());
+  const CacheStats cache = cache_.stats();
+  json.key("cache").beginObject();
+  json.field("capacity", static_cast<std::uint64_t>(cache_.capacity()));
+  json.field("entries", static_cast<std::uint64_t>(cache_.entryCount()));
+  json.field("hits", cache.hits);
+  json.field("misses", cache.misses);
+  json.field("admitted", cache.admitted);
+  json.field("rejections", cache.rejected);
+  json.field("evictions", cache.evictions);
+  json.field("entries_invalidated", cache.entriesInvalidated);
+  json.endObject();
   json.key("machines").beginArray();
   for (std::size_t i = 0; i < load.machineTasks.size(); ++i) {
     json.beginObject();

@@ -11,7 +11,8 @@
 // partial from whatever partitions made it (degraded, never blocked).
 //
 // Life of a query (execute() is called concurrently by client threads):
-//   1. result-cache probe (sharded LRU; complete results only);
+//   1. result-cache probe (TinyLFU-admitted sharded LRU keyed on the
+//      canonical query; complete results only);
 //   2. route: per partition, pick a hosting machine from live queue
 //      depths; enqueue a task (bounded push — backpressure; with a
 //      deadline the push itself gives up at the deadline);
@@ -24,8 +25,9 @@
 // Shutdown: queues reject new work but drain what was accepted, so every
 // in-flight query's remaining-count reaches zero — clean join, no orphan
 // waiters. applyMapping() swaps the routing table and invalidates the
-// result cache; tasks already queued finish on their old machines (the
-// way a live migration drains).
+// cached results served by the shards it moved; tasks already queued
+// finish on their old machines (the way a live migration drains), and
+// what they return for a moved shard is not cached.
 //
 // Observability: aggregate counters/histograms go to the obs:: registry
 // (serve.queries, serve.query_latency_us, ...); per-machine and per-shard
@@ -308,7 +310,8 @@ class QueryBroker {
   ObservedLoad peekObservedLoad() const;
 
   /// JSON for /debug/broker: per-machine queue depth, worker count, busy
-  /// fraction, and window aggregates (queries, shed, expired).
+  /// fraction, window aggregates (queries, shed, expired), and the result
+  /// cache's capacity, entries and lifetime counters.
   std::string debugJson() const;
   /// JSON for /debug/shards: per-shard heat from the live ObservedLoad
   /// window — tasks, postings scanned, busy seconds, and the machine each

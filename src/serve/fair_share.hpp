@@ -18,11 +18,11 @@
 // cheaper than any heap maintenance.
 //
 // FairShareQueue<T> wraps the scheduler and per-tenant sub-queues behind
-// exactly the MpmcQueue contract the broker's workers already rely on —
-// bounded capacity as backpressure, deadline-bounded push that rejects
-// already-expired deadlines up front, blocking pop, drain-on-close — with
-// one change: pop order across tenants is fair-share, not arrival order
-// (within a tenant it stays FIFO). Capacity is a shared memory bound, not
+// the bounded multi-producer multi-consumer contract the broker's workers
+// rely on — bounded capacity as backpressure, deadline-bounded push that
+// rejects already-expired deadlines up front, blocking pop, drain-on-close
+// — with pop order across tenants fair-share, not arrival order (within a
+// tenant it stays FIFO; with one tenant the queue is a plain FIFO). Capacity is a shared memory bound, not
 // an isolation mechanism; isolation happens earlier, at token admission
 // (see tenant.hpp).
 #pragma once
@@ -86,8 +86,7 @@ class FairShareScheduler {
 };
 
 /// Bounded MPMC queue with fair-share pop ordering across tenant
-/// sub-queues. Same blocking/close semantics as MpmcQueue (see file
-/// comment); `T` moves through untouched.
+/// sub-queues (see file comment); `T` moves through untouched.
 template <typename T>
 class FairShareQueue {
  public:
@@ -125,7 +124,7 @@ class FairShareQueue {
   /// Like push but gives up at `deadline`; returns false on timeout or
   /// close. An already-expired deadline is rejected up front even with
   /// room — enqueueing work the worker is guaranteed to shed would burn a
-  /// bounded slot (same contract as MpmcQueue::pushUntil).
+  /// bounded slot.
   bool pushUntil(T item, TenantId tenant,
                  std::chrono::steady_clock::time_point deadline) {
     if (std::chrono::steady_clock::now() >= deadline) return false;

@@ -1,21 +1,36 @@
-// Sharded LRU cache for merged query results.
+// Sharded result cache for merged query results: TinyLFU admission in
+// front of LRU eviction.
 //
-// Keyed by (terms, k). Sharding by key hash keeps lock hold times short
-// under concurrent clients; each shard is an intrusive LRU (doubly linked
-// list + hash map). Only *complete* results are cached — a partial,
-// deadline-degraded answer must not be replayed to later clients.
+// Keyed by the canonical query (sorted, de-duplicated terms plus k), so
+// [b,a] and [a,a,b] share the [a,b] entry; the query kernel canonicalises
+// its terms the same way, so all three get byte-identical answers.
+// Sharding by key hash keeps lock hold times short under concurrent
+// clients; each shard is an intrusive LRU (doubly linked list + hash map)
+// plus a count-min frequency sketch under the same mutex. Every get(), hit
+// or miss, counts the key in the sketch. put() of a new key into a full
+// shard admits it only when the key's estimated frequency is above that of
+// the shard's LRU victim (Einziger, Friedman & Manes, "TinyLFU", ACM TOS
+// 2017), so one-off queries cannot push out popular ones; admitted entries
+// still evict in LRU order. The sketch halves every counter after 32
+// increments per entry of shard capacity, so yesterday's hot keys fade.
+// Only *complete* results are cached — a partial, deadline-degraded answer
+// must not be replayed to later clients.
 //
 // Invalidation is per physical shard: every entry records which physical
 // shards served it (the replicas the router picked), so a remap or a live
 // shard move drops exactly the entries whose provenance it touched and
-// leaves the rest hot. clear() remains for full teardown. Entries inserted
-// without provenance are treated conservatively: any invalidation drops
-// them.
+// leaves the rest hot. Invalidation never touches the sketch. A result
+// computed before an invalidation of its provenance but delivered after it
+// would refill a stale entry, so put() takes the generation() the query
+// was routed at and drops results whose provenance was invalidated since.
+// clear() remains for full teardown. Entries inserted without provenance
+// are treated conservatively: any invalidation drops them.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -28,17 +43,26 @@
 
 namespace resex::serve {
 
-/// Identity of a cacheable query: the exact term sequence plus result size.
-struct ResultKey {
-  std::vector<TermId> terms;
-  std::uint32_t k = 0;
+/// Identity of a cacheable query: its terms sorted and de-duplicated, plus
+/// the result size. The constructor is the one place the canonical form is
+/// built, so every lookup and insert agrees on it.
+class ResultKey {
+ public:
+  ResultKey(std::vector<TermId> terms, std::uint32_t k);
+
+  const std::vector<TermId>& terms() const noexcept { return terms_; }
+  std::uint32_t k() const noexcept { return k_; }
 
   bool operator==(const ResultKey& other) const noexcept {
-    return k == other.k && terms == other.terms;
+    return k_ == other.k_ && terms_ == other.terms_;
   }
+
+ private:
+  std::vector<TermId> terms_;
+  std::uint32_t k_ = 0;
 };
 
-/// FNV-1a over the term sequence and k.
+/// FNV-1a over the canonical terms and k.
 struct ResultKeyHash {
   std::size_t operator()(const ResultKey& key) const noexcept;
 };
@@ -46,7 +70,8 @@ struct ResultKeyHash {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
+  std::uint64_t admitted = 0;            // new keys inserted
+  std::uint64_t rejected = 0;            // new keys the admission test dropped
   std::uint64_t evictions = 0;
   std::uint64_t invalidations = 0;       // clear() + invalidateShards() calls
   std::uint64_t entriesInvalidated = 0;  // entries those calls dropped
@@ -54,21 +79,40 @@ struct CacheStats {
 
 class ShardedLruCache {
  public:
-  /// `capacity` entries total, spread over `shards` independent LRUs.
-  /// capacity == 0 disables the cache (get always misses, put drops).
+  /// put()'s `routedAt` for a result that cannot be stale.
+  static constexpr std::uint64_t kFresh = std::numeric_limits<std::uint64_t>::max();
+
+  /// `capacity` entries total, spread as evenly as possible over
+  /// min(shards, capacity) independent shards. capacity == 0 disables the
+  /// cache (get always misses, put drops).
   ShardedLruCache(std::size_t capacity, std::size_t shards = 8);
+  ~ShardedLruCache();
 
-  bool enabled() const noexcept { return perShardCapacity_ > 0; }
+  ShardedLruCache(const ShardedLruCache&) = delete;
+  ShardedLruCache& operator=(const ShardedLruCache&) = delete;
 
-  /// Copies the cached result into `out` on hit and refreshes recency.
+  bool enabled() const noexcept { return capacity_ > 0; }
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  /// Counts the key in its shard's frequency sketch; on hit copies the
+  /// cached result into `out` and refreshes recency.
   bool get(const ResultKey& key, std::vector<ScoredDoc>& out);
 
-  /// Inserts or refreshes; evicts the least-recently-used entry of the
-  /// key's shard when that shard is full. `servedBy` is the result's
-  /// provenance — the physical shards whose replicas produced it — used by
-  /// invalidateShards. Empty provenance means "drop on any invalidation".
+  /// Refreshes an existing entry, or offers a new one: it is admitted when
+  /// its shard has room or when the key is estimated more frequent than the
+  /// shard's LRU victim (which it then evicts), and rejected otherwise.
+  /// `servedBy` is the result's provenance — the physical shards whose
+  /// replicas produced it — used by invalidateShards; empty provenance
+  /// means "drop on any invalidation". `routedAt` is the generation() read
+  /// when the query was routed: the result is dropped if any shard of its
+  /// provenance has been invalidated since.
   void put(const ResultKey& key, std::vector<ScoredDoc> docs,
-           std::vector<ShardId> servedBy = {});
+           std::vector<ShardId> servedBy = {}, std::uint64_t routedAt = kFresh);
+
+  /// Invalidation generation; every invalidateShards()/clear() advances it.
+  std::uint64_t generation() const noexcept {
+    return generation_.load(std::memory_order_acquire);
+  }
 
   /// Drops every entry whose provenance intersects `shards` (plus entries
   /// with no recorded provenance). Returns how many entries were dropped.
@@ -77,7 +121,9 @@ class ShardedLruCache {
   /// Drops every entry (full invalidation).
   void clear();
 
-  std::size_t entryCount() const;
+  std::size_t entryCount() const noexcept {
+    return entries_.load(std::memory_order_relaxed);
+  }
   CacheStats stats() const;
 
  private:
@@ -87,20 +133,49 @@ class ShardedLruCache {
     /// Physical shards that served this result (unsorted, small).
     std::vector<ShardId> servedBy;
   };
+  /// Count-min sketch: four rows of 8-bit saturating counters, each row
+  /// the next power of two >= 16 x the shard's capacity wide.
+  struct FrequencySketch {
+    explicit FrequencySketch(std::size_t capacity);
+    void increment(std::uint64_t hash);
+    std::uint32_t estimate(std::uint64_t hash) const;
+
+    std::vector<std::uint8_t> counters;
+    std::uint64_t mask = 0;
+    std::size_t additions = 0;
+    std::size_t agingPeriod = 0;
+  };
   struct Shard {
+    explicit Shard(std::size_t cap) : capacity(cap), sketch(cap) {}
     mutable std::mutex mutex;
+    const std::size_t capacity;
     std::list<Entry> lru;  // front = most recent
     std::unordered_map<ResultKey, std::list<Entry>::iterator, ResultKeyHash> map;
+    FrequencySketch sketch;
   };
 
-  Shard& shardFor(const ResultKey& key);
+  Shard& shardFor(std::size_t hash);
+  /// True when `servedBy` was invalidated after generation `routedAt`.
+  bool invalidatedSince(std::span<const ShardId> servedBy,
+                        std::uint64_t routedAt) const;
+  void dropEntries(std::size_t count);
 
-  std::size_t perShardCapacity_ = 0;
+  std::size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::size_t> entries_{0};
+
+  std::atomic<std::uint64_t> generation_{0};
+  /// Generation of each physical shard's last invalidation, and of the
+  /// last clear(); read only when generation() moved past a put's stamp.
+  mutable std::mutex generationMutex_;
+  std::vector<std::uint64_t> invalidatedAt_;
+  std::uint64_t clearedAt_ = 0;
+
   // Stats are whole-cache, relaxed-atomic (exact once writers quiesce).
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
+  std::atomic<std::uint64_t> admitted_{0};
+  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> invalidations_{0};
   std::atomic<std::uint64_t> entriesInvalidated_{0};

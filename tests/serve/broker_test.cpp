@@ -4,14 +4,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mini_json.hpp"
 #include "index/partition.hpp"
+#include "net/frame.hpp"
 #include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "serve/search_service.hpp"
 
 namespace resex::serve {
 namespace {
@@ -361,6 +368,84 @@ TEST(QueryBroker, ApplyShardMoveInvalidatesCachedResultsTouchingTheShard) {
   EXPECT_FALSE(refill.cacheHit);
   EXPECT_TRUE(refill.complete);
   EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);  // repopulated
+}
+
+TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsNotCached) {
+  // Paced slowly, the query is still executing on the old placement when
+  // shard 1 moves; its result arrives after the move's invalidation and
+  // must not refill the cache with the moved shard in its provenance.
+  const PartitionedIndex index = smallIndex(2);
+  const Instance instance = hostingInstance(2, 2);
+  ServeConfig config;
+  config.cacheCapacity = 64;
+  config.serviceFixedSeconds = 0.1;
+  QueryBroker broker(instance, instance.initialAssignment(), index, config);
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::optional<QueryResult> first;
+  broker.submit(query({3, 4}), {}, [&](QueryResult result) {
+    std::lock_guard lock(mutex);
+    first = std::move(result);
+    cv.notify_one();
+  });
+  broker.applyShardMove(1, 1, 0);  // submit returned: the query is routed
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return first.has_value(); });
+  }
+  EXPECT_TRUE(first->complete);
+  EXPECT_FALSE(broker.execute(query({3, 4})).cacheHit);
+  EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);  // fresh results fill
+}
+
+TEST(QueryBroker, ReorderedAndRepeatedTermsHitTheCanonicalEntry) {
+  const PartitionedIndex index = smallIndex(3);
+  const Instance instance = hostingInstance(3, 2);
+  ServeConfig config;
+  config.cacheCapacity = 64;
+  QueryBroker cached(instance, instance.initialAssignment(), index, config);
+  config.cacheCapacity = 0;
+  QueryBroker uncached(instance, instance.initialAssignment(), index, config);
+  const auto wireBytes = [](const QueryResult& result) {
+    net::QueryResponse response = toWireResponse(result);
+    response.cacheHit = false;
+    std::string out;
+    net::encodeResultFrame(0, response, out);
+    return out;
+  };
+  EXPECT_FALSE(cached.execute(query({5, 9})).cacheHit);
+  for (const auto& q : {query({9, 5}), query({5, 5, 9}), query({5, 9})}) {
+    const QueryResult hit = cached.execute(q);
+    EXPECT_TRUE(hit.cacheHit);
+    EXPECT_EQ(wireBytes(hit), wireBytes(uncached.execute(q)));
+  }
+  EXPECT_EQ(cached.cacheStats().admitted, 1u);
+}
+
+TEST(QueryBroker, DebugJsonReportsTheResultCache) {
+  const PartitionedIndex index = smallIndex(2);
+  const Instance instance = hostingInstance(2, 2);
+  ServeConfig config;
+  config.cacheCapacity = 12;
+  config.cacheShards = 1;
+  QueryBroker broker(instance, instance.initialAssignment(), index, config);
+  for (TermId t = 0; t < 14; ++t) broker.execute(query({t}));  // 12 fit, 2 rejected
+  broker.execute(query({3}));                                   // a hit
+  broker.applyShardMove(0, 0, 1);                               // drops all 12
+  const auto debug = MiniJson::flatten(broker.debugJson());
+  EXPECT_EQ(debug.at("cache/capacity"), "12");
+  EXPECT_EQ(debug.at("cache/entries"), "0");
+  EXPECT_EQ(debug.at("cache/hits"), "1");
+  EXPECT_EQ(debug.at("cache/misses"), "14");
+  EXPECT_EQ(debug.at("cache/admitted"), "12");
+  EXPECT_EQ(debug.at("cache/rejections"), "2");
+  EXPECT_EQ(debug.at("cache/evictions"), "0");
+  EXPECT_EQ(debug.at("cache/entries_invalidated"), "12");
+  // /metrics sums every cache in the process, so only lower bounds hold.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  EXPECT_GE(registry.counter("serve.cache_rejections").get(), 2u);
+  EXPECT_GE(registry.counter("serve.cache_entries_invalidated").get(), 12u);
+  EXPECT_GE(registry.gauge("serve.cache_capacity").get(), 12.0);
 }
 
 TEST(QueryBroker, ApplyShardMoveValidatesArguments) {

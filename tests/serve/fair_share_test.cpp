@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -153,6 +154,65 @@ TEST(FairShareQueue, BlockedPopWakesOnPush) {
   consumer.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 42);
+}
+
+TEST(FairShareQueue, ZeroCapacityIsBumpedToOne) {
+  FairShareQueue<int> queue(0, onePool({1.0}));
+  EXPECT_EQ(queue.capacity(), 1u);
+  EXPECT_TRUE(queue.push(7, 0));
+  EXPECT_EQ(queue.pop(), 7);
+}
+
+TEST(FairShareQueue, PushBlocksWhenFullUntilPop) {
+  FairShareQueue<int> queue(1, onePool({1.0}));
+  EXPECT_TRUE(queue.push(1, 0));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.push(2, 0));
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // backpressured on the full queue
+  EXPECT_EQ(queue.pop(), 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(queue.pop(), 2);
+}
+
+TEST(FairShareQueue, CloseWakesBlockedConsumer) {
+  FairShareQueue<int> queue(4, onePool({1.0}));
+  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  queue.close();
+  consumer.join();
+}
+
+TEST(FairShareQueue, ConcurrentProducersConsumersDeliverEverything) {
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 3;
+  constexpr int kPerProducer = 500;
+  FairShareQueue<int> queue(16, onePool({1.0, 2.0}));
+  std::atomic<long> sum{0};
+  std::atomic<int> received{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConsumers; ++c)
+    threads.emplace_back([&] {
+      while (auto item = queue.pop()) {
+        sum.fetch_add(*item, std::memory_order_relaxed);
+        received.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (int p = 0; p < kProducers; ++p)
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i)
+        EXPECT_TRUE(queue.push(p * kPerProducer + i, static_cast<TenantId>(p % 2)));
+    });
+  for (std::size_t t = kConsumers; t < threads.size(); ++t) threads[t].join();
+  queue.close();
+  for (int c = 0; c < kConsumers; ++c) threads[c].join();
+  const int total = kProducers * kPerProducer;
+  EXPECT_EQ(received.load(), total);
+  EXPECT_EQ(sum.load(), static_cast<long>(total) * (total - 1) / 2);
 }
 
 }  // namespace
