@@ -20,6 +20,8 @@
 //   * migration-window p99 <= 1.5x steady p99,
 //   * zero incorrect / wrongly-empty results,
 //   * at least one real cutover happened and queries overlapped it,
+//   * the result cache kept its entries across every cutover (a move
+//     changes placement, not content, so nothing is invalidated),
 //   * the post-drill filesystem audit is clean (no torn segments, no
 //     orphaned temps, no strays, nothing missing).
 
@@ -434,6 +436,13 @@ int main(int argc, char** argv) {
   json.field("wrongly_empty_results", wronglyEmpty.load());
   json.endObject();
   json.field("cutovers", cluster.cutovers());
+  const serve::CacheStats cache = broker.cacheStats();
+  const std::uint64_t lookups = cache.hits + cache.misses;
+  json.field("cache_hit_ratio",
+             lookups > 0 ? static_cast<double>(cache.hits) /
+                               static_cast<double>(lookups)
+                         : 0.0);
+  json.field("cache_entries_invalidated", cache.entriesInvalidated);
   json.key("audit").beginObject();
   json.field("segment_files", static_cast<std::uint64_t>(audit.segmentFiles));
   json.field("torn_segments", static_cast<std::uint64_t>(audit.tornSegments));
@@ -448,11 +457,14 @@ int main(int argc, char** argv) {
   const bool latencyGate = p99Ratio <= 1.5 && !migrationLatencies.empty();
   const bool correctGate = incorrect.load() == 0 && wronglyEmpty.load() == 0;
   const bool movedGate = cluster.cutovers() > 0;
-  const bool pass = latencyGate && correctGate && movedGate && audit.clean();
+  const bool cacheKeptGate = movedGate && cache.entriesInvalidated == 0;
+  const bool pass =
+      latencyGate && correctGate && movedGate && cacheKeptGate && audit.clean();
   json.key("gates").beginObject();
   json.field("migration_p99_within_1p5x", latencyGate);
   json.field("zero_incorrect", correctGate);
   json.field("cutovers_happened", movedGate);
+  json.field("cache_kept_across_cutovers", cacheKeptGate);
   json.field("audit_clean", audit.clean());
   json.field("pass", pass);
   json.endObject();
@@ -467,8 +479,9 @@ int main(int argc, char** argv) {
 
   if (flags.boolean("check") && !pass) {
     std::fprintf(stderr,
-                 "CHECK FAILED: latency=%d correct=%d moved=%d audit=%d\n",
-                 latencyGate, correctGate, movedGate, audit.clean());
+                 "CHECK FAILED: latency=%d correct=%d moved=%d cache_kept=%d "
+                 "audit=%d\n",
+                 latencyGate, correctGate, movedGate, cacheKeptGate, audit.clean());
     return 1;
   }
   return 0;

@@ -48,6 +48,18 @@ const char* segmentPlaneName(std::uint32_t plane) noexcept {
   }
 }
 
+bool sameSegmentContent(const SegmentFooter& a, const SegmentFooter& b) noexcept {
+  if (a.termCount != b.termCount || a.docCount != b.docCount ||
+      a.totalPostings != b.totalPostings || a.totalBlocks != b.totalBlocks ||
+      a.avgDocLength != b.avgDocLength || a.bm25K1 != b.bm25K1 ||
+      a.bm25B != b.bm25B)
+    return false;
+  for (std::uint32_t p = 0; p < kSegmentPlaneCount; ++p)
+    if (a.planes[p].bytes != b.planes[p].bytes || a.planes[p].crc != b.planes[p].crc)
+      return false;
+  return true;
+}
+
 // ---- SegmentPlanes ----------------------------------------------------
 
 BlockPostingList SegmentPlanes::postings(TermId term) const {

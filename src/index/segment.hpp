@@ -125,6 +125,12 @@ struct SegmentFooter {
 static_assert(sizeof(SegmentFooter) == 192 &&
               std::is_trivially_copyable_v<SegmentFooter>);
 
+/// True when two segments hold the same shard content: equal counts, BM25
+/// statistics, and per-plane sizes and CRC-32C. Plane offsets and file
+/// size follow from the sizes, so two files that pass are interchangeable
+/// for every query.
+bool sameSegmentContent(const SegmentFooter& a, const SegmentFooter& b) noexcept;
+
 /// Any structural problem with a segment file: bad magic/version/endian,
 /// checksum mismatch, plane-table or directory inconsistency, or block
 /// metadata that disagrees with the checksummed plane sizes.
@@ -175,6 +181,8 @@ class MappedSegment {
   MappedSegment& operator=(const MappedSegment&) = delete;
 
   const std::string& path() const noexcept { return path_; }
+  /// The validated footer (statistics and checksummed plane table).
+  const SegmentFooter& footer() const noexcept { return footer_; }
   std::uint64_t fileBytes() const noexcept { return footer_.fileBytes; }
   std::uint32_t termCount() const noexcept { return footer_.termCount; }
   std::uint32_t docCount() const noexcept { return footer_.docCount; }

@@ -89,12 +89,6 @@ struct QueryBroker::PendingQuery {
   /// executing as a load-shedding hint and re-check under the mutex
   /// before recording a partial.
   std::atomic<bool> expired{false};
-  /// Physical shards the router picked for this query — the provenance a
-  /// complete result is cached with — and the cache's invalidation
-  /// generation at that moment (both written once at route time, before
-  /// any task can complete).
-  std::vector<ShardId> servedBy;
-  std::uint64_t cacheGeneration = 0;
   /// Invoked exactly once by deliver().
   QueryCompletion completion;
   /// Root-span state for request-scoped tracing (inert when untraced).
@@ -267,19 +261,11 @@ void QueryBroker::applyMapping(const std::vector<MachineId>& newMapping) {
   for (const MachineId mach : newMapping)
     if (mach >= queues_.size())
       throw std::invalid_argument("QueryBroker: remap machine out of range");
-  std::vector<ShardId> changed;
   {
     std::unique_lock lock(mappingMutex_);
-    for (ShardId s = 0; s < newMapping.size(); ++s)
-      if (mapping_[s] != newMapping[s]) changed.push_back(s);
     mapping_ = newMapping;
     rebuildHosts(mapping_);
   }
-  // Coherence scoped to what actually moved: each cached result carries the
-  // physical shards that served it, so only entries touching a reassigned
-  // shard are dropped — the rest of the cache stays hot across the remap.
-  if (!changed.empty())
-    cache_.invalidateShards(std::span<const ShardId>(changed));
   remapCounter().add();
 }
 
@@ -290,6 +276,18 @@ std::shared_ptr<const InvertedIndex> QueryBroker::applyShardMove(
     throw std::invalid_argument("QueryBroker: applyShardMove shard out of range");
   if (to >= queues_.size())
     throw std::invalid_argument("QueryBroker: applyShardMove machine out of range");
+  if (liveMode_ && replacement) {
+    // Cached results stay valid across the move only because the content
+    // does: a segment-backed replacement must carry the same statistics and
+    // per-plane sizes and checksums as the index it replaces.
+    std::shared_lock lock(liveMutex_);
+    const auto& current = liveShards_[shard]->segment();
+    const auto& incoming = replacement->segment();
+    if (current && incoming &&
+        !sameSegmentContent(current->footer(), incoming->footer()))
+      throw std::invalid_argument(
+          "QueryBroker: applyShardMove replacement holds different content");
+  }
   {
     std::unique_lock lock(mappingMutex_);
     if (mapping_[shard] != from)
@@ -303,10 +301,6 @@ std::shared_ptr<const InvertedIndex> QueryBroker::applyShardMove(
     std::unique_lock lock(liveMutex_);
     old = std::exchange(liveShards_[shard], std::move(replacement));
   }
-  // Only this shard's cached results lose coherence; the swap above already
-  // routes new tasks to the destination copy.
-  const ShardId moved[] = {shard};
-  cache_.invalidateShards(std::span<const ShardId>(moved));
   // The replica is gone from `from`: its window heat goes with it, so
   // /debug/shards and the next ObservedLoad harvest report the departed
   // copy cold instead of carrying stale heat into the controller.
@@ -445,7 +439,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
                  std::chrono::duration<double>(deadlineSeconds));
   pending->partials.resize(partitionCount_);
   pending->remaining = partitionCount_;
-  pending->servedBy.reserve(partitionCount_);
   pending->completion = std::move(completion);
   pending->rootCtx = rootCtx;
   pending->rootSpanId = rootSpanId;
@@ -464,10 +457,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   {
     obs::ScopedSpan routeSpan(rootCtx, "query.route");
     std::shared_lock lock(mappingMutex_);
-    // Stamped under the mapping lock: a move swaps the mapping before it
-    // invalidates the cache, so a query routed to the old placement always
-    // carries a generation older than that invalidation.
-    pending->cacheGeneration = cache_.generation();
     std::vector<std::uint32_t> tokenPicks;
     if (tenantMode_)
       verdict = bank_->acquire(
@@ -492,7 +481,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
         }
         peakDepthGauge().max(static_cast<double>(depthAtPick));
         const auto [mach, shard] = hosts[pick];
-        pending->servedBy.push_back(shard);
         Task task;
         task.pending = pending;
         task.partition = g;
@@ -588,7 +576,7 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
     tstats.expiredQueries.fetch_add(1, std::memory_order_relaxed);
     expiredCounter().add();
   } else {
-    cache_.put(pending->key, result.docs, pending->servedBy, pending->cacheGeneration);
+    cache_.put(pending->key, result.docs);
   }
   {
     std::lock_guard lock(latencyMutex_);

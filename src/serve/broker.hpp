@@ -24,10 +24,10 @@
 //
 // Shutdown: queues reject new work but drain what was accepted, so every
 // in-flight query's remaining-count reaches zero — clean join, no orphan
-// waiters. applyMapping() swaps the routing table and invalidates the
-// cached results served by the shards it moved; tasks already queued
-// finish on their old machines (the way a live migration drains), and
-// what they return for a moved shard is not cached.
+// waiters. applyMapping() swaps the routing table; tasks already queued
+// finish on their old machines (the way a live migration drains). A move
+// changes where a shard is served, not what it holds, so cached results
+// stay valid across every remap and cutover.
 //
 // Observability: aggregate counters/histograms go to the obs:: registry
 // (serve.queries, serve.query_latency_us, ...); per-machine and per-shard
@@ -278,18 +278,20 @@ class QueryBroker {
   bool submit(const std::vector<TermId>& terms, const SubmitOptions& options,
               QueryCompletion completion);
 
-  /// Atomically swaps the shard -> machine mapping (a rebalance landing)
-  /// and invalidates the result-cache entries served by the shards whose
-  /// assignment actually changed. Tasks already queued complete on their
-  /// previous machines.
+  /// Atomically swaps the shard -> machine mapping (a rebalance landing).
+  /// Tasks already queued complete on their previous machines. The result
+  /// cache is untouched: placement does not change any answer.
   void applyMapping(const std::vector<MachineId>& newMapping);
 
   /// Atomic per-shard cutover of one live migration move: requires
   /// mapping[shard] == from; swaps the routing entry to `to` under the
   /// mapping lock, installs `replacement` as the shard's live index (when
-  /// in live mode and non-null), invalidates exactly the cache entries that
-  /// shard served, and zeroes the shard's ObservedLoad window accumulators
-  /// so the departed replica's heat does not linger in /debug/shards.
+  /// in live mode and non-null), and zeroes the shard's ObservedLoad window
+  /// accumulators so the departed replica's heat does not linger in
+  /// /debug/shards. The result cache is untouched, which is sound because
+  /// the replacement must hold the content it replaces: when both indexes
+  /// are segment-backed their footers must agree (sameSegmentContent),
+  /// else std::invalid_argument is thrown before routing changes.
   /// Returns the previous live index (null outside live mode); the caller
   /// drains it — waits for in-flight tasks to release their references —
   /// before dropping the source file.
@@ -342,6 +344,9 @@ class QueryBroker {
     return queues_.at(machine)->size();
   }
   CacheStats cacheStats() const { return cache_.stats(); }
+  /// Drops every cached result (full teardown; counted in cacheStats()'s
+  /// invalidations). Moves never need it.
+  void clearCache() { cache_.clear(); }
 
   bool tenantMode() const noexcept { return tenantMode_; }
   /// The validated tenant table (count() == 1 with the implicit "default"

@@ -168,6 +168,15 @@ bool LiveCluster::copyShard(ShardId shard, MachineId from, MachineId to,
   if (!result.success) return false;
 
   std::lock_guard lock(mutex_);
+  // A move must not change what the shard holds (the broker's result cache
+  // relies on it): the validated copy has to match the index serving the
+  // shard now. A source file swapped for another valid segment fails here
+  // and costs the executor one attempt.
+  if (!sameSegmentContent(result.segment->footer(),
+                          table_[shard]->segment()->footer())) {
+    ::unlink(result.publishedPath.c_str());
+    return false;
+  }
   PendingCopy copy;
   copy.index = std::make_shared<const InvertedIndex>(result.segment);
   copy.path = result.publishedPath;

@@ -13,8 +13,9 @@
 //   copyShard   SegmentMover: bandwidth-throttled chunked copy (the
 //               FaultInjector's per-machine multipliers degrade the
 //               effective rate), temp-file write + fsync + rename publish,
-//               full validation + warm before the copy is eligible to
-//               serve;
+//               full validation + warm, then a content check against
+//               the serving index (the footers must agree), before the
+//               copy is eligible to serve;
 //   commitMove  atomic cutover through QueryBroker::applyShardMove, then
 //               drain-by-refcount (in-flight queries on the source finish
 //               before it is touched), page-cache drop, source unlink;
@@ -28,6 +29,7 @@
 // mapping is a real cluster state" invariants the fault sweep asserts.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -121,7 +123,8 @@ class LiveCluster : public MigrationDataPlane {
   /// flight. Re-validates every segment file byte-for-byte.
   AuditReport audit() const;
 
-  std::uint64_t cutovers() const noexcept { return cutovers_; }
+  /// Committed cutovers so far; safe to read while a migration runs.
+  std::uint64_t cutovers() const noexcept { return cutovers_.load(); }
 
  private:
   struct PendingCopy {
@@ -147,7 +150,7 @@ class LiveCluster : public MigrationDataPlane {
   std::vector<std::map<ShardId, std::uint64_t>> residentBytes_;
   std::vector<char> down_;
   std::map<ShardId, PendingCopy> pending_;
-  std::uint64_t cutovers_ = 0;
+  std::atomic<std::uint64_t> cutovers_{0};
 };
 
 }  // namespace resex::serve

@@ -125,29 +125,14 @@ bool ShardedLruCache::get(const ResultKey& key, std::vector<ScoredDoc>& out) {
   return true;
 }
 
-bool ShardedLruCache::invalidatedSince(std::span<const ShardId> servedBy,
-                                       std::uint64_t routedAt) const {
-  std::lock_guard lock(generationMutex_);
-  if (servedBy.empty() || clearedAt_ > routedAt) return true;
-  return std::any_of(servedBy.begin(), servedBy.end(), [&](ShardId s) {
-    return s < invalidatedAt_.size() && invalidatedAt_[s] > routedAt;
-  });
-}
-
-void ShardedLruCache::put(const ResultKey& key, std::vector<ScoredDoc> docs,
-                          std::vector<ShardId> servedBy, std::uint64_t routedAt) {
+void ShardedLruCache::put(const ResultKey& key, std::vector<ScoredDoc> docs) {
   if (!enabled()) return;
   const std::size_t hash = ResultKeyHash{}(key);
   Shard& shard = shardFor(hash);
   std::lock_guard lock(shard.mutex);
-  // Checked under the shard lock: an invalidation publishes its generation
-  // before it sweeps this shard, so a stale result either sees the new
-  // generation here or is inserted before the sweep and swept.
-  if (generation() > routedAt && invalidatedSince(servedBy, routedAt)) return;
   const auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     it->second->docs = std::move(docs);
-    it->second->servedBy = std::move(servedBy);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -164,7 +149,7 @@ void ShardedLruCache::put(const ResultKey& key, std::vector<ScoredDoc> docs,
     metrics().evictions.add();
     dropEntries(1);
   }
-  shard.lru.push_front(Entry{key, std::move(docs), std::move(servedBy)});
+  shard.lru.push_front(Entry{key, std::move(docs)});
   shard.map.emplace(shard.lru.front().key, shard.lru.begin());
   admitted_.fetch_add(1, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
@@ -176,50 +161,8 @@ void ShardedLruCache::dropEntries(std::size_t count) {
   metrics().entries.add(-static_cast<double>(count));
 }
 
-std::size_t ShardedLruCache::invalidateShards(std::span<const ShardId> shards) {
-  if (!enabled() || shards.empty()) return 0;
-  {
-    std::lock_guard lock(generationMutex_);
-    const std::uint64_t next = generation_.load(std::memory_order_relaxed) + 1;
-    for (const ShardId s : shards) {
-      if (s >= invalidatedAt_.size()) invalidatedAt_.resize(s + 1, 0);
-      invalidatedAt_[s] = next;
-    }
-    generation_.store(next, std::memory_order_release);
-  }
-  const auto touches = [&shards](const Entry& entry) {
-    if (entry.servedBy.empty()) return true;  // unknown provenance: drop
-    for (const ShardId s : entry.servedBy)
-      if (std::find(shards.begin(), shards.end(), s) != shards.end()) return true;
-    return false;
-  };
-  std::size_t dropped = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (touches(*it)) {
-        shard->map.erase(it->key);
-        it = shard->lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  dropEntries(dropped);
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
-  entriesInvalidated_.fetch_add(dropped, std::memory_order_relaxed);
-  metrics().entriesInvalidated.add(dropped);
-  return dropped;
-}
-
 void ShardedLruCache::clear() {
   if (!enabled()) return;
-  {
-    std::lock_guard lock(generationMutex_);
-    clearedAt_ = generation_.load(std::memory_order_relaxed) + 1;
-    generation_.store(clearedAt_, std::memory_order_release);
-  }
   std::size_t dropped = 0;
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);

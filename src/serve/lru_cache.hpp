@@ -16,29 +16,24 @@
 // Only *complete* results are cached — a partial, deadline-degraded answer
 // must not be replayed to later clients.
 //
-// Invalidation is per physical shard: every entry records which physical
-// shards served it (the replicas the router picked), so a remap or a live
-// shard move drops exactly the entries whose provenance it touched and
-// leaves the rest hot. Invalidation never touches the sketch. A result
-// computed before an invalidation of its provenance but delivered after it
-// would refill a stale entry, so put() takes the generation() the query
-// was routed at and drops results whose provenance was invalidated since.
-// clear() remains for full teardown. Entries inserted without provenance
-// are treated conservatively: any invalidation drops them.
+// Entries do not depend on placement. A result is a function of the query
+// and of shard content, and a remap or a live shard move changes only
+// where a shard is served, never what it holds: the broker refuses a
+// replacement index whose content differs, and a live copy is checked
+// against its source before it may serve. So moves keep every entry.
+// clear() is the one invalidation (full teardown); it never touches the
+// sketch.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/types.hpp"
 #include "index/query_exec.hpp"
 
 namespace resex::serve {
@@ -73,15 +68,12 @@ struct CacheStats {
   std::uint64_t admitted = 0;            // new keys inserted
   std::uint64_t rejected = 0;            // new keys the admission test dropped
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;       // clear() + invalidateShards() calls
+  std::uint64_t invalidations = 0;       // clear() calls
   std::uint64_t entriesInvalidated = 0;  // entries those calls dropped
 };
 
 class ShardedLruCache {
  public:
-  /// put()'s `routedAt` for a result that cannot be stale.
-  static constexpr std::uint64_t kFresh = std::numeric_limits<std::uint64_t>::max();
-
   /// `capacity` entries total, spread as evenly as possible over
   /// min(shards, capacity) independent shards. capacity == 0 disables the
   /// cache (get always misses, put drops).
@@ -101,22 +93,7 @@ class ShardedLruCache {
   /// Refreshes an existing entry, or offers a new one: it is admitted when
   /// its shard has room or when the key is estimated more frequent than the
   /// shard's LRU victim (which it then evicts), and rejected otherwise.
-  /// `servedBy` is the result's provenance — the physical shards whose
-  /// replicas produced it — used by invalidateShards; empty provenance
-  /// means "drop on any invalidation". `routedAt` is the generation() read
-  /// when the query was routed: the result is dropped if any shard of its
-  /// provenance has been invalidated since.
-  void put(const ResultKey& key, std::vector<ScoredDoc> docs,
-           std::vector<ShardId> servedBy = {}, std::uint64_t routedAt = kFresh);
-
-  /// Invalidation generation; every invalidateShards()/clear() advances it.
-  std::uint64_t generation() const noexcept {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  /// Drops every entry whose provenance intersects `shards` (plus entries
-  /// with no recorded provenance). Returns how many entries were dropped.
-  std::size_t invalidateShards(std::span<const ShardId> shards);
+  void put(const ResultKey& key, std::vector<ScoredDoc> docs);
 
   /// Drops every entry (full invalidation).
   void clear();
@@ -130,8 +107,6 @@ class ShardedLruCache {
   struct Entry {
     ResultKey key;
     std::vector<ScoredDoc> docs;
-    /// Physical shards that served this result (unsorted, small).
-    std::vector<ShardId> servedBy;
   };
   /// Count-min sketch: four rows of 8-bit saturating counters, each row
   /// the next power of two >= 16 x the shard's capacity wide.
@@ -155,21 +130,11 @@ class ShardedLruCache {
   };
 
   Shard& shardFor(std::size_t hash);
-  /// True when `servedBy` was invalidated after generation `routedAt`.
-  bool invalidatedSince(std::span<const ShardId> servedBy,
-                        std::uint64_t routedAt) const;
   void dropEntries(std::size_t count);
 
   std::size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> entries_{0};
-
-  std::atomic<std::uint64_t> generation_{0};
-  /// Generation of each physical shard's last invalidation, and of the
-  /// last clear(); read only when generation() moved past a put's stamp.
-  mutable std::mutex generationMutex_;
-  std::vector<std::uint64_t> invalidatedAt_;
-  std::uint64_t clearedAt_ = 0;
 
   // Stats are whole-cache, relaxed-atomic (exact once writers quiesce).
   std::atomic<std::uint64_t> hits_{0};

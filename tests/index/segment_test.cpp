@@ -214,6 +214,38 @@ TEST(Segment, PartitionedWriteAndLoadRoundTrips) {
   }
 }
 
+TEST(Segment, SameContentReadsStatisticsAndEveryPlaneChecksum) {
+  const InvertedIndex built = buildIndex();
+  const std::string path = tempPath("same-a.seg");
+  const std::string twin = tempPath("same-b.seg");
+  const std::string other = tempPath("same-other.seg");
+  writeSegment(built, path);
+  writeSegment(built, twin);
+  writeSegment(buildIndex(12), other);
+  const MappedSegment a(path), b(twin), c(other);
+  EXPECT_TRUE(sameSegmentContent(a.footer(), b.footer()));
+  EXPECT_FALSE(sameSegmentContent(a.footer(), c.footer()));
+
+  const SegmentFooter& f = a.footer();
+  for (std::uint32_t plane = 0; plane < kSegmentPlaneCount; ++plane) {
+    SegmentFooter g = f;
+    g.planes[plane].crc ^= 1;
+    EXPECT_FALSE(sameSegmentContent(f, g)) << segmentPlaneName(plane);
+    g = f;
+    g.planes[plane].bytes += 1;
+    EXPECT_FALSE(sameSegmentContent(f, g)) << segmentPlaneName(plane);
+  }
+  SegmentFooter g = f;
+  g.avgDocLength += 0.5;
+  EXPECT_FALSE(sameSegmentContent(f, g));
+  g = f;
+  g.bm25K1 += 0.1;
+  EXPECT_FALSE(sameSegmentContent(f, g));
+  g = f;
+  g.totalPostings += 1;
+  EXPECT_FALSE(sameSegmentContent(f, g));
+}
+
 // ---- Corruption -------------------------------------------------------
 
 TEST(Segment, SingleByteCorruptionInEveryPlaneIsRejected) {

@@ -11,7 +11,10 @@
 //   * dual-residency admission rejects copies that would overflow a
 //     machine's byte budget before any bytes move;
 //   * recoverMachine collects the debris a crashed machine freezes
-//     (orphaned temps, lost copies).
+//     (orphaned temps, lost copies);
+//   * a copy whose content differs from the serving shard (its source file
+//     swapped for another valid segment) never reaches serving: the
+//     executor retries, then aborts the move.
 //
 // The fault-sweep cases carry the `fault-sweep` ctest label (this file
 // builds into test_live_migration; see tests/CMakeLists.txt) so CI runs
@@ -138,6 +141,7 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   std::atomic<bool> migrating{false};
   std::atomic<std::uint64_t> checkedDuringMigration{0};
   std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> hitsAfterACutover{0};
   std::thread client([&] {
     std::vector<std::vector<ScoredDoc>> references;
     for (const auto& q : queries)
@@ -145,7 +149,10 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
           index.searchTopK(q, serveConfig.topK, serveConfig.bm25));
     for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
       const std::size_t qi = i % queries.size();
+      const bool afterACutover = cluster.cutovers() > 0;
       const QueryResult result = broker.execute(queries[qi]);
+      if (afterACutover && result.cacheHit)
+        hitsAfterACutover.fetch_add(1, std::memory_order_relaxed);
       const auto& reference = references[qi];
       bool ok = result.complete && result.docs.size() == reference.size();
       for (std::size_t d = 0; ok && d < reference.size(); ++d)
@@ -179,6 +186,11 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   EXPECT_FALSE(report.degraded);
   EXPECT_EQ(report.movesCommitted, kPartitions);
   EXPECT_EQ(cluster.cutovers(), kPartitions);
+  // Moves keep cached answers: hits (checked against the oracle like every
+  // other answer) keep coming after the first cutover, and nothing is
+  // invalidated.
+  EXPECT_GT(hitsAfterACutover.load(), 0u);
+  EXPECT_EQ(broker.cacheStats().entriesInvalidated, 0u);
 
   // Executor bookkeeping, plane, and broker routing all agree.
   EXPECT_EQ(report.finalMapping, target);
@@ -193,6 +205,62 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   // Post-cutover serving is still the oracle.
   for (const auto& q : queries)
     expectOracle(index, broker.execute(q), q, serveConfig.topK,
+                 serveConfig.bm25);
+  broker.shutdown();
+}
+
+TEST(LiveMigration, CopyOfADifferentShardIsRejectedAndRetried) {
+  const std::size_t kPartitions = 3, kMachines = 3;
+  const PartitionedIndex index = smallIndex(kPartitions);
+  const Instance instance = hostingInstance(kPartitions, kMachines);
+  const TempDir dir;
+  LiveClusterConfig liveConfig;
+  liveConfig.rootDir = dir.path.string();
+  LiveCluster cluster(instance, index, instance.initialAssignment(), liveConfig);
+  ServeConfig serveConfig;
+  serveConfig.cacheCapacity = 64;
+  QueryBroker broker(instance, instance.initialAssignment(), index, serveConfig,
+                     cluster.shardIndexes());
+  cluster.attachBroker(&broker);
+  const std::vector<TermId> q = {5, 9, 200};
+  expectOracle(index, broker.execute(q), q, serveConfig.topK, serveConfig.bm25);
+
+  // Shard 0's source file becomes shard 1's segment: validly checksummed,
+  // wrong content. The rename leaves the serving mapping on the old inode.
+  const fs::path swap = dir.path / "swap.seg";
+  fs::copy_file(cluster.segmentPath(1, 1), swap);
+  fs::rename(swap, cluster.segmentPath(0, 0));
+
+  EXPECT_FALSE(cluster.copyShard(0, 0, 1, CopyFault{}));
+  EXPECT_FALSE(fs::exists(cluster.segmentPath(0, 1)));
+
+  std::vector<MachineId> target = instance.initialAssignment();
+  target[0] = 1;
+  const Schedule schedule = MigrationScheduler().build(
+      instance, instance.initialAssignment(), target);
+  ASSERT_EQ(schedule.moveCount(), 1u);
+  ExecutorConfig config;
+  config.maxRetries = 2;
+  const ExecutionReport report =
+      MigrationExecutor(config).execute(instance, schedule, FaultPlan{}, &cluster);
+  EXPECT_EQ(report.movesCommitted, 0u);
+  EXPECT_EQ(report.retries, config.maxRetries);
+  EXPECT_EQ(report.abortedMoves, 1u);
+  EXPECT_EQ(cluster.cutovers(), 0u);
+  EXPECT_EQ(report.finalMapping, instance.initialAssignment());
+  EXPECT_EQ(cluster.mapping(), instance.initialAssignment());
+  EXPECT_EQ(broker.mapping(), instance.initialAssignment());
+  const auto audit = cluster.audit();
+  EXPECT_TRUE(audit.clean()) << auditSummary(audit);
+  EXPECT_EQ(audit.segmentFiles, kPartitions);
+
+  // Serving never saw the swapped file: cached and computed answers alike
+  // are still the oracle's.
+  const QueryResult hit = broker.execute(q);
+  EXPECT_TRUE(hit.cacheHit);
+  expectOracle(index, hit, q, serveConfig.topK, serveConfig.bm25);
+  for (const auto& other : {std::vector<TermId>{0, 7}, std::vector<TermId>{599}})
+    expectOracle(index, broker.execute(other), other, serveConfig.topK,
                  serveConfig.bm25);
   broker.shutdown();
 }

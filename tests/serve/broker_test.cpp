@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -14,6 +17,7 @@
 
 #include "common/mini_json.hpp"
 #include "index/partition.hpp"
+#include "index/segment.hpp"
 #include "net/frame.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -60,6 +64,28 @@ Instance hostingInstance(std::size_t partitions, std::size_t machines,
 
 std::vector<TermId> query(std::initializer_list<TermId> terms) { return terms; }
 
+/// The result frame a client receives, with the cache-hit flag cleared so a
+/// hit and a computed answer compare byte for byte.
+std::string wireBytes(const QueryResult& result) {
+  net::QueryResponse response = toWireResponse(result);
+  response.cacheHit = false;
+  std::string out;
+  net::encodeResultFrame(0, response, out);
+  return out;
+}
+
+/// Asserts `result` is the complete PartitionedIndex answer for `terms`.
+void expectOracle(const PartitionedIndex& index, const QueryResult& result,
+                  const std::vector<TermId>& terms, const ServeConfig& config) {
+  ASSERT_TRUE(result.complete);
+  const auto reference = index.searchTopK(terms, config.topK, config.bm25);
+  ASSERT_EQ(result.docs.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(result.docs[i].doc, reference[i].doc);
+    EXPECT_NEAR(result.docs[i].score, reference[i].score, 1e-9);
+  }
+}
+
 TEST(QueryBroker, CompleteResultsMatchPartitionedSearch) {
   const PartitionedIndex index = smallIndex(4);
   const Instance instance = hostingInstance(4, 2);
@@ -69,14 +95,8 @@ TEST(QueryBroker, CompleteResultsMatchPartitionedSearch) {
   for (const auto& q :
        {query({0, 7}), query({25, 3, 110}), query({599}), query({42, 42})}) {
     const QueryResult result = broker.execute(q);
-    EXPECT_TRUE(result.complete);
     EXPECT_EQ(result.partitionsAnswered, 4u);
-    const auto reference = index.searchTopK(q, config.topK, config.bm25);
-    ASSERT_EQ(result.docs.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(result.docs[i].doc, reference[i].doc);
-      EXPECT_NEAR(result.docs[i].score, reference[i].score, 1e-9);
-    }
+    expectOracle(index, result, q, config);
   }
 }
 
@@ -107,7 +127,7 @@ TEST(QueryBroker, DeadlineExpiryDegradesToPartialResult) {
   EXPECT_EQ(executed + shed, 4u);
 }
 
-TEST(QueryBroker, CacheHitsUntilRemapInvalidates) {
+TEST(QueryBroker, CacheHitsSurviveRemap) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   ServeConfig config;
@@ -123,10 +143,13 @@ TEST(QueryBroker, CacheHitsUntilRemapInvalidates) {
   for (MachineId& m : swapped) m = static_cast<MachineId>(1 - m);
   broker.applyMapping(swapped);
   EXPECT_EQ(broker.mapping(), swapped);
-  // Remap dropped the cache; the same query misses, then caches again.
-  EXPECT_FALSE(broker.execute(q).cacheHit);
-  EXPECT_TRUE(broker.execute(q).cacheHit);
-  EXPECT_EQ(broker.cacheStats().invalidations, 1u);
+  // A remap changes where shards are served, not what they answer: the
+  // entry survives and still carries the oracle's answer.
+  const QueryResult afterRemap = broker.execute(q);
+  EXPECT_TRUE(afterRemap.cacheHit);
+  expectOracle(index, afterRemap, q, config);
+  EXPECT_EQ(broker.cacheStats().invalidations, 0u);
+  EXPECT_EQ(broker.cacheStats().entriesInvalidated, 0u);
 }
 
 TEST(QueryBroker, IncompleteResultsAreNeverCached) {
@@ -338,42 +361,39 @@ TEST(QueryBroker, ApplyShardMoveRemapsRoutingAndResetsHeat) {
 
   // Serving continues on the new placement with oracle-identical results.
   const auto q = query({5, 9});
-  const QueryResult result = broker.execute(q);
-  EXPECT_TRUE(result.complete);
-  const auto reference = index.searchTopK(q, config.topK, config.bm25);
-  ASSERT_EQ(result.docs.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(result.docs[i].doc, reference[i].doc);
-    EXPECT_NEAR(result.docs[i].score, reference[i].score, 1e-9);
-  }
+  expectOracle(index, broker.execute(q), q, config);
 }
 
-TEST(QueryBroker, ApplyShardMoveInvalidatesCachedResultsTouchingTheShard) {
+TEST(QueryBroker, ApplyShardMoveKeepsCachedResults) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   ServeConfig config;
   config.cacheCapacity = 64;
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
+  config.cacheCapacity = 0;
+  QueryBroker uncached(instance, instance.initialAssignment(), index, config);
   broker.execute(query({3, 4}));
   EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);
 
-  broker.applyShardMove(1, 1, 0);
   // With one replica per partition every cached entry was served by shard
-  // 1, so the move drops the working set (selectivity with replicas is
-  // unit-tested on the cache itself).
+  // 1; the move keeps it, and the hit is what a fresh computation returns.
+  broker.applyShardMove(1, 1, 0);
+  uncached.applyShardMove(1, 1, 0);
   const CacheStats stats = broker.cacheStats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_GE(stats.entriesInvalidated, 1u);
-  const QueryResult refill = broker.execute(query({3, 4}));
-  EXPECT_FALSE(refill.cacheHit);
-  EXPECT_TRUE(refill.complete);
-  EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);  // repopulated
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_EQ(stats.entriesInvalidated, 0u);
+  EXPECT_EQ(stats.admitted, 1u);
+  const QueryResult hit = broker.execute(query({3, 4}));
+  EXPECT_TRUE(hit.cacheHit);
+  const QueryResult computed = uncached.execute(query({3, 4}));
+  EXPECT_FALSE(computed.cacheHit);
+  EXPECT_EQ(wireBytes(hit), wireBytes(computed));
 }
 
-TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsNotCached) {
+TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsCached) {
   // Paced slowly, the query is still executing on the old placement when
-  // shard 1 moves; its result arrives after the move's invalidation and
-  // must not refill the cache with the moved shard in its provenance.
+  // shard 1 moves. Its result is the same on either side of the move, so
+  // it fills the cache and later clients are served the oracle's answer.
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   ServeConfig config;
@@ -393,9 +413,50 @@ TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsNotCached) {
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return first.has_value(); });
   }
-  EXPECT_TRUE(first->complete);
-  EXPECT_FALSE(broker.execute(query({3, 4})).cacheHit);
-  EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);  // fresh results fill
+  expectOracle(index, *first, query({3, 4}), config);
+  const QueryResult hit = broker.execute(query({3, 4}));
+  EXPECT_TRUE(hit.cacheHit);
+  expectOracle(index, hit, query({3, 4}), config);
+  EXPECT_EQ(wireBytes(hit), wireBytes(*first));
+}
+
+TEST(QueryBroker, ApplyShardMoveRejectsAReplacementWithOtherContent) {
+  const PartitionedIndex index = smallIndex(2);
+  const Instance instance = hostingInstance(2, 2);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("broker_test." + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto segmentIndex = [&](std::uint32_t partition, const std::string& name) {
+    const std::string path = (dir / name).string();
+    writeSegment(index.shard(partition), path);
+    return std::make_shared<const InvertedIndex>(
+        std::make_shared<const MappedSegment>(path));
+  };
+  ServeConfig config;
+  config.cacheCapacity = 64;
+  QueryBroker broker(instance, instance.initialAssignment(), index, config,
+                     {segmentIndex(0, "s0.seg"), segmentIndex(1, "s1.seg")});
+  ASSERT_TRUE(broker.liveMode());
+  broker.execute(query({3, 4}));
+
+  // Partition 0's segment is valid, but it is not shard 1's content.
+  EXPECT_THROW(broker.applyShardMove(1, 1, 0, segmentIndex(0, "wrong.seg")),
+               std::invalid_argument);
+  EXPECT_EQ(broker.mapping(), instance.initialAssignment());
+  EXPECT_EQ(broker.cacheStats().entriesInvalidated, 0u);
+  const QueryResult hit = broker.execute(query({3, 4}));
+  EXPECT_TRUE(hit.cacheHit);
+  expectOracle(index, hit, query({3, 4}), config);
+
+  // A copy of shard 1's own content is accepted, and serving stays exact.
+  const auto retired = broker.applyShardMove(1, 1, 0, segmentIndex(1, "copy.seg"));
+  EXPECT_NE(retired, nullptr);
+  EXPECT_EQ(broker.mapping()[1], 0u);
+  expectOracle(index, broker.execute(query({5, 9})), query({5, 9}), config);
+  broker.shutdown();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(QueryBroker, ReorderedAndRepeatedTermsHitTheCanonicalEntry) {
@@ -406,13 +467,6 @@ TEST(QueryBroker, ReorderedAndRepeatedTermsHitTheCanonicalEntry) {
   QueryBroker cached(instance, instance.initialAssignment(), index, config);
   config.cacheCapacity = 0;
   QueryBroker uncached(instance, instance.initialAssignment(), index, config);
-  const auto wireBytes = [](const QueryResult& result) {
-    net::QueryResponse response = toWireResponse(result);
-    response.cacheHit = false;
-    std::string out;
-    net::encodeResultFrame(0, response, out);
-    return out;
-  };
   EXPECT_FALSE(cached.execute(query({5, 9})).cacheHit);
   for (const auto& q : {query({9, 5}), query({5, 5, 9}), query({5, 9})}) {
     const QueryResult hit = cached.execute(q);
@@ -431,16 +485,21 @@ TEST(QueryBroker, DebugJsonReportsTheResultCache) {
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
   for (TermId t = 0; t < 14; ++t) broker.execute(query({t}));  // 12 fit, 2 rejected
   broker.execute(query({3}));                                   // a hit
-  broker.applyShardMove(0, 0, 1);                               // drops all 12
-  const auto debug = MiniJson::flatten(broker.debugJson());
+  broker.applyShardMove(0, 0, 1);                               // keeps all 12
+  auto debug = MiniJson::flatten(broker.debugJson());
   EXPECT_EQ(debug.at("cache/capacity"), "12");
-  EXPECT_EQ(debug.at("cache/entries"), "0");
+  EXPECT_EQ(debug.at("cache/entries"), "12");
   EXPECT_EQ(debug.at("cache/hits"), "1");
   EXPECT_EQ(debug.at("cache/misses"), "14");
   EXPECT_EQ(debug.at("cache/admitted"), "12");
   EXPECT_EQ(debug.at("cache/rejections"), "2");
   EXPECT_EQ(debug.at("cache/evictions"), "0");
+  EXPECT_EQ(debug.at("cache/entries_invalidated"), "0");
+  broker.clearCache();  // the one invalidation: full teardown
+  debug = MiniJson::flatten(broker.debugJson());
+  EXPECT_EQ(debug.at("cache/entries"), "0");
   EXPECT_EQ(debug.at("cache/entries_invalidated"), "12");
+  EXPECT_EQ(broker.cacheStats().invalidations, 1u);
   // /metrics sums every cache in the process, so only lower bounds hold.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   EXPECT_GE(registry.counter("serve.cache_rejections").get(), 2u);

@@ -124,13 +124,13 @@ TEST(ShardedLruCache, AgingLetsAFormerlyHotKeyBeDisplaced) {
 TEST(ShardedLruCache, InvalidationKeepsFrequencyCounts) {
   ShardedLruCache cache(1, 1);
   std::vector<ScoredDoc> out;
-  cache.put(key({1}), docs(1), {0});
+  cache.put(key({1}), docs(1));
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(cache.get(key({1}), out));
-  const ShardId moved[] = {0};
-  EXPECT_EQ(cache.invalidateShards(moved), 1u);
-  cache.put(key({2}), docs(2), {1});  // never read, into the emptied shard
-  // {1}'s five reads survived the invalidation, so it displaces {2}.
-  cache.put(key({1}), docs(1), {1});
+  cache.clear();
+  EXPECT_EQ(cache.stats().entriesInvalidated, 1u);
+  cache.put(key({2}), docs(2));  // never read, into the emptied shard
+  // {1}'s five reads survived the clear, so it displaces {2}.
+  cache.put(key({1}), docs(1));
   EXPECT_TRUE(cache.get(key({1}), out));
   EXPECT_FALSE(cache.get(key({2}), out));
   EXPECT_EQ(cache.stats().rejected, 0u);
@@ -159,27 +159,6 @@ TEST(ShardedLruCache, CapacityIsSpreadOverShardsExactly) {
     }
     EXPECT_EQ(cache.entryCount(), capacity) << capacity << " over " << shards;
   }
-}
-
-TEST(ShardedLruCache, ResultRoutedBeforeAnInvalidationOfItsProvenanceIsDropped) {
-  ShardedLruCache cache(16, 1);
-  const std::uint64_t routed = cache.generation();
-  const ShardId moved[] = {2};
-  cache.invalidateShards(moved);
-  EXPECT_GT(cache.generation(), routed);
-  cache.put(key({1}), docs(1), {0, 2}, routed);  // served by the moved shard
-  cache.put(key({2}), docs(2), {0, 1}, routed);  // untouched provenance
-  cache.put(key({3}), docs(3), {}, routed);      // unknown provenance
-  cache.put(key({4}), docs(4), {0, 2}, cache.generation());  // routed after
-  std::vector<ScoredDoc> out;
-  EXPECT_FALSE(cache.get(key({1}), out));
-  EXPECT_TRUE(cache.get(key({2}), out));
-  EXPECT_FALSE(cache.get(key({3}), out));
-  EXPECT_TRUE(cache.get(key({4}), out));
-  const std::uint64_t beforeClear = cache.generation();
-  cache.clear();
-  cache.put(key({5}), docs(5), {1}, beforeClear);
-  EXPECT_FALSE(cache.get(key({5}), out));
 }
 
 TEST(ShardedLruCache, ZipfReplayKeepsThePopularQueries) {
@@ -230,40 +209,6 @@ TEST(ShardedLruCache, PutRefreshesExistingEntry) {
   ASSERT_TRUE(cache.get(key({1}), out));
   EXPECT_EQ(out[0].doc, 9u);
   EXPECT_EQ(cache.entryCount(), 1u);
-}
-
-TEST(ShardedLruCache, InvalidateShardsDropsOnlyTouchedEntries) {
-  ShardedLruCache cache(16, 1);
-  cache.put(key({1}), docs(1), {0, 2});
-  cache.put(key({2}), docs(2), {1, 3});
-  cache.put(key({3}), docs(3), {2});
-  const ShardId moved[] = {2};
-  EXPECT_EQ(cache.invalidateShards(moved), 2u);  // entries {1} and {3}
-  std::vector<ScoredDoc> out;
-  EXPECT_FALSE(cache.get(key({1}), out));
-  EXPECT_TRUE(cache.get(key({2}), out));  // provenance {1,3} untouched
-  EXPECT_FALSE(cache.get(key({3}), out));
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.entriesInvalidated, 2u);
-}
-
-TEST(ShardedLruCache, EntriesWithoutProvenanceDropOnAnyInvalidation) {
-  ShardedLruCache cache(16, 1);
-  cache.put(key({1}), docs(1));  // no servedBy recorded
-  const ShardId moved[] = {7};
-  EXPECT_EQ(cache.invalidateShards(moved), 1u);
-  std::vector<ScoredDoc> out;
-  EXPECT_FALSE(cache.get(key({1}), out));
-}
-
-TEST(ShardedLruCache, InvalidateShardsEmptyListIsANoOp) {
-  ShardedLruCache cache(16, 1);
-  cache.put(key({1}), docs(1), {0});
-  EXPECT_EQ(cache.invalidateShards({}), 0u);
-  std::vector<ScoredDoc> out;
-  EXPECT_TRUE(cache.get(key({1}), out));
-  EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
 TEST(ShardedLruCache, ConcurrentMixedTrafficStaysConsistent) {
