@@ -24,8 +24,8 @@
 #include <limits>
 #include <string>
 
+#include "obs/context.hpp"
 #include "obs/export.hpp"
-#include "obs/trace.hpp"
 
 #include "cluster/assignment.hpp"
 #include "index/maxscore.hpp"
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
   std::string metricsOut, traceOut;
   takeFlag(argc, argv, "--metrics-out", metricsOut);
   takeFlag(argc, argv, "--trace-out", traceOut);
-  if (!traceOut.empty()) resex::obs::Tracer::global().setEnabled(true);
+  if (!traceOut.empty()) resex::obs::TraceRegistry::global().setEnabled(true);
 
   std::string lnsBenchOut, lnsMachines, lnsSeconds;
   takeFlag(argc, argv, "--lns-bench-out", lnsBenchOut);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace resex {
 namespace {

@@ -4,7 +4,6 @@
 
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace resex {
 
@@ -46,8 +45,7 @@ RebalanceResult ClusterController::plan(const Instance& instance) {
 }
 
 EpochReport ClusterController::step(const Instance& instance) {
-  RESEX_TRACE_SPAN("controller.step");
-  const std::uint64_t epochStartUs = obs::Tracer::nowMicros();
+  const std::uint64_t epochStartUs = obs::nowMicros();
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("controller.epochs").add();
 
@@ -121,8 +119,7 @@ EpochReport ClusterController::step(const Instance& instance) {
   // export shows query slowdowns against the re-plans that caused them.
   if (obs::TraceRegistry::enabled())
     obs::TraceRegistry::global().emitTimeline(
-        "controller.epoch", epochStartUs,
-        obs::Tracer::nowMicros() - epochStartUs,
+        "controller.epoch", epochStartUs, obs::nowMicros() - epochStartUs,
         {{"epoch", static_cast<double>(report.epoch)},
          {"triggered", report.triggered ? 1.0 : 0.0},
          {"executed", report.executed ? 1.0 : 0.0},

@@ -6,7 +6,6 @@
 #include "control/data_plane.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace resex {
 
@@ -135,8 +134,7 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
   std::size_t phaseIndex = 0;
   bool stop = false;
   while (!stop && phaseIndex < active->phases.size()) {
-    RESEX_TRACE_SPAN("executor.phase");
-    const std::uint64_t phaseStartUs = obs::Tracer::nowMicros();
+    const std::uint64_t phaseStartUs = obs::nowMicros();
     const Phase& phase = active->phases[phaseIndex];
 
     // Crash cutoff for this phase: moves before it completed their copies
@@ -326,8 +324,7 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
     // switch-overs that produced them.
     if (obs::TraceRegistry::enabled())
       obs::TraceRegistry::global().emitTimeline(
-          "executor.phase", phaseStartUs,
-          obs::Tracer::nowMicros() - phaseStartUs,
+          "executor.phase", phaseStartUs, obs::nowMicros() - phaseStartUs,
           {{"phase", static_cast<double>(globalPhase)},
            {"moves_committed", static_cast<double>(committedCount)},
            {"committed_bytes", committedPhaseBytes},

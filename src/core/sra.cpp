@@ -2,7 +2,7 @@
 
 #include "core/polish.hpp"
 #include "lns/portfolio.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "util/timer.hpp"
 
 namespace resex {

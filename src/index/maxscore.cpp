@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 namespace resex {
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace resex {
 
@@ -64,6 +64,12 @@ void finishExec(const QueryScratch& scratch, ExecStats* stats) {
   prunes.add(scratch.exec.heapThresholdPrunes);
 }
 
+}  // namespace detail
+
+namespace {
+
+/// The block-max DAAT core (no tracing/counter side effects; fills
+/// scratch.exec).
 std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
                                         const std::vector<TermId>& terms,
                                         std::size_t k, const Bm25Params& params,
@@ -72,7 +78,8 @@ std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
   scratch.exec = ExecStats{};
   scratch.heapStorage.clear();
   if (k == 0 || terms.empty()) return {};
-  const ScoreContext ctx = buildCursors(index, terms, params, global, scratch);
+  const detail::ScoreContext ctx =
+      detail::buildCursors(index, terms, params, global, scratch);
   std::vector<TermCursor>& cursors = scratch.cursors;
   if (cursors.empty()) return {};
 
@@ -177,10 +184,6 @@ std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
   return heap.finish();
 }
 
-}  // namespace detail
-
-namespace {
-
 std::vector<ScoredDoc> selectTopK(std::vector<ScoredDoc>&& scored, std::size_t k) {
   if (scored.size() > k) {
     std::partial_sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k),
@@ -202,7 +205,7 @@ std::span<const ScoredDoc> topKDisjunctiveInto(
   static obs::Counter& queries = detail::queryCounter("disjunctive");
   queries.add();
   obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
-  const auto results = detail::daatBlockMax(index, terms, k, params, global, scratch);
+  const auto results = daatBlockMax(index, terms, k, params, global, scratch);
   detail::finishExec(scratch, stats);
   return results;
 }

@@ -49,14 +49,6 @@ ScoreContext buildCursors(const InvertedIndex& index,
 /// block counters (`query.blocks_decoded` / `query.blocks_skipped` /
 /// `query.heap_threshold_prunes`).
 void finishExec(const QueryScratch& scratch, ExecStats* stats);
-
-/// The block-max DAAT core (no tracing/counter side effects; fills
-/// scratch.exec). Shared by topKDisjunctive and topKBlockMaxWand.
-std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
-                                        const std::vector<TermId>& terms,
-                                        std::size_t k, const Bm25Params& params,
-                                        const GlobalStats* global,
-                                        QueryScratch& scratch);
 }  // namespace detail
 
 /// Disjunctive (OR) top-k by BM25 — document-at-a-time with block-max

@@ -4,8 +4,8 @@
 
 #include "lns/destroy.hpp"
 #include "lns/repair.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace resex {

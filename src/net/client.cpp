@@ -1,7 +1,6 @@
 #include "net/client.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+
+#include "net/socket.hpp"
 
 namespace resex::net {
 
@@ -38,8 +39,7 @@ void Client::connect() {
   }
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  setNonBlocking(fd);
   fd_ = fd;
   reader_ = FrameReader(limits_);
   sendBuffer_.clear();

@@ -1,11 +1,12 @@
 #include "net/poller.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <stdexcept>
+
+#include "net/socket.hpp"
 
 #if defined(__linux__)
 #include <sys/epoll.h>
@@ -14,11 +15,6 @@
 
 namespace resex::net {
 namespace {
-
-void setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 #if RESEX_NET_HAVE_EPOLL
 std::uint32_t toEpoll(std::uint32_t events) {

@@ -1,21 +1,17 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "net/poller.hpp"
+#include "net/socket.hpp"
 
 namespace resex::net {
 
@@ -116,70 +112,6 @@ struct Server::Shard {
   std::atomic<std::uint64_t> protoErrors{0};
   std::atomic<std::uint64_t> pauses{0};
 };
-
-namespace {
-
-void setNonBlockingFd(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-/// Binds a non-blocking listener on host:port. `tryReusePort` requests
-/// SO_REUSEPORT; `reusePortOk` reports whether the kernel granted it.
-int makeListener(const std::string& host, std::uint16_t port, bool tryReusePort,
-                 bool& reusePortOk) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("net::Server: socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  reusePortOk = false;
-  if (tryReusePort) {
-#ifdef SO_REUSEPORT
-    reusePortOk =
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) == 0;
-#endif
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("net::Server: bad listen address " + host);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("net::Server: bind failed: " +
-                             std::string(std::strerror(err)));
-  }
-  if (::listen(fd, SOMAXCONN) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("net::Server: listen failed: " +
-                             std::string(std::strerror(err)));
-  }
-  setNonBlockingFd(fd);
-  return fd;
-}
-
-std::uint16_t boundPort(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
-  return ntohs(addr.sin_port);
-}
-
-int acceptOne(int listenFd) {
-#if defined(__linux__)
-  return ::accept4(listenFd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-  const int fd = ::accept(listenFd, nullptr, nullptr);
-  if (fd >= 0) setNonBlockingFd(fd);
-  return fd;
-#endif
-}
-
-}  // namespace
 
 Server::Server(ServerConfig config, Handler handler)
     : config_(std::move(config)), handler_(std::move(handler)) {
@@ -337,8 +269,6 @@ void Server::acceptLoop(Shard& shard) {
 }
 
 void Server::adoptConnection(Shard& shard, int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   auto conn = std::make_unique<Connection>(config_.limits);
   conn->fd = fd;
   conn->id = nextConnId_.fetch_add(1, std::memory_order_relaxed);

@@ -1,11 +1,26 @@
 #include "obs/context.hpp"
 
 #include <algorithm>
+#include <chrono>
 
-#include "obs/trace.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::obs {
+namespace {
+
+std::chrono::steady_clock::time_point traceEpoch() noexcept {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return epoch;
+}
+
+}  // namespace
+
+std::uint64_t nowMicros() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - traceEpoch())
+          .count());
+}
 
 SpanArena::SpanArena(std::uint32_t tid, std::size_t capacity)
     : tid_(tid), capacity_(std::max<std::size_t>(1, capacity)) {
@@ -102,6 +117,7 @@ std::atomic<bool>& TraceRegistry::enabledFlag() noexcept {
 }
 
 void TraceRegistry::setEnabled(bool enabled) noexcept {
+  traceEpoch();  // pin the epoch no later than the first enable
   enabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
@@ -170,7 +186,7 @@ bool TraceRegistry::retire(const TraceContext& ctx, std::uint64_t rootDurUs,
   // arena can stop at the root's start time instead of walking the whole
   // ring. The slack absorbs rounding between the clock reads.
   constexpr std::uint64_t kSinceSlackUs = 200;
-  const std::uint64_t nowUs = Tracer::nowMicros();
+  const std::uint64_t nowUs = nowMicros();
   const std::uint64_t sinceUs =
       nowUs > rootDurUs + kSinceSlackUs ? nowUs - rootDurUs - kSinceSlackUs : 0;
   for (const auto& arena : arenas)
@@ -262,12 +278,12 @@ std::string TraceRegistry::tracesJson() const {
 }
 
 void TraceRegistry::appendChromeEvents(std::string& out) const {
-  const auto appendEvent = [&out](const RichSpan& span, std::uint64_t traceId,
-                                  const char* keepReason) {
+  const auto appendEvent = [&out](const RichSpan& span, const char* category,
+                                  const TraceRecord* trace) {
     JsonWriter json;
     json.beginObject();
     json.field("name", span.name != nullptr ? span.name : "");
-    json.field("cat", traceId != 0 ? "resex.query" : "resex.timeline");
+    json.field("cat", category);
     json.field("ph", "X");
     json.field("pid", 1);
     json.field("tid", span.tid);
@@ -275,11 +291,11 @@ void TraceRegistry::appendChromeEvents(std::string& out) const {
     // Perfetto renders zero-duration "X" events invisibly; floor at 1us.
     json.field("dur", std::max<std::uint64_t>(1, span.durUs));
     json.key("args").beginObject();
-    if (traceId != 0) {
-      json.field("trace_id", traceId);
+    if (trace != nullptr) {
+      json.field("trace_id", trace->traceId);
       json.field("span_id", span.spanId);
       json.field("parent_span_id", span.parentSpanId);
-      json.field("keep_reason", keepReason);
+      json.field("keep_reason", trace->keepReason);
     }
     for (std::uint32_t i = 0; i < span.argCount; ++i)
       json.field(span.args[i].key, span.args[i].value);
@@ -288,10 +304,19 @@ void TraceRegistry::appendChromeEvents(std::string& out) const {
     if (!out.empty()) out += ",";
     out += json.str();
   };
+  std::vector<std::shared_ptr<SpanArena>> arenas;
+  {
+    std::lock_guard lock(mutex_);
+    arenas = arenas_;
+  }
+  for (const auto& arena : arenas)
+    for (const RichSpan& span : arena->spans())
+      if (span.traceId == 0) appendEvent(span, "resex", nullptr);
   for (const TraceRecord& trace : recentTraces())
     for (const RichSpan& span : trace.spans)
-      appendEvent(span, trace.traceId, trace.keepReason);
-  for (const RichSpan& event : timelineEvents()) appendEvent(event, 0, "");
+      appendEvent(span, "resex.query", &trace);
+  for (const RichSpan& event : timelineEvents())
+    appendEvent(event, "resex.timeline", nullptr);
 }
 
 void TraceRegistry::clear() {
@@ -315,16 +340,26 @@ ScopedSpan::ScopedSpan(const TraceContext& ctx, const char* name) noexcept {
   span_.traceId = ctx.traceId;
   span_.parentSpanId = ctx.parentSpanId;
   span_.spanId = TraceRegistry::global().nextSpanId();
-  span_.startUs = Tracer::nowMicros();
+  span_.startUs = nowMicros();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (span_.traceId == 0) return;
   TraceRegistry& registry = TraceRegistry::global();
-  span_.durUs = Tracer::nowMicros() - span_.startUs;
+  span_.durUs = nowMicros() - span_.startUs;
   SpanArena& arena = registry.threadArena();
   span_.tid = arena.tid();
   arena.record(span_);
+}
+
+void ProcessSpan::record() const {
+  SpanArena& arena = TraceRegistry::global().threadArena();
+  RichSpan span;
+  span.name = name_;
+  span.startUs = startUs_;
+  span.durUs = nowMicros() - startUs_;
+  span.tid = arena.tid();
+  arena.record(span);
 }
 
 }  // namespace resex::obs

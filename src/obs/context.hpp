@@ -1,12 +1,18 @@
-// Request-scoped tracing: per-query span trees with tail-based sampling.
+// Tracing: one span store for process spans and per-query span trees.
 //
-// The legacy Tracer (trace.hpp) answers "where does *the process* spend
-// time"; this layer answers "where did *this query* spend time". A
-// TraceContext — a 64-bit trace id plus the parent span id — is allocated
-// at the broker when a query is admitted and propagated by value through
-// the work-queue task into workers, so every span a query touches (route,
-// queue wait, per-partition execution, merge) links into one tree even
-// though the spans are recorded on different threads.
+// Every span lands in the calling thread's SpanArena. Two kinds share it:
+//   - process spans (`RESEX_TRACE_SPAN("lns.repair")`, traceId == 0)
+//     answer "where does *the process* spend time";
+//   - request-scoped spans answer "where did *this query* spend time". A
+//     TraceContext — a 64-bit trace id plus the parent span id — is
+//     allocated at the broker when a query is admitted and propagated by
+//     value through the work-queue task into workers, so every span a
+//     query touches (route, queue wait, per-partition execution, merge)
+//     links into one tree even though the spans are recorded on
+//     different threads.
+// TraceRegistry::setEnabled is the one switch for both. Disabled, a
+// process span is a single relaxed atomic load — cheap enough to leave in
+// solver inner loops — and a query gets an inert context.
 //
 // Hot-path contract: recording never allocates. Each thread owns a
 // SpanArena — a fixed ring of RichSpan slots with inline argument storage
@@ -21,8 +27,12 @@
 // from the arenas at retire time, so spans overwritten by ring wraparound
 // under extreme load are lost (sized so this does not happen at sane
 // depths). Timeline events (controller epochs, migration phases) bypass
-// sampling entirely — they are rare and always retained, so one Perfetto
-// export shows queries, re-plans, and migrations on a single timeline.
+// sampling entirely — they are rare and always retained. One Chrome
+// trace_event export (appendChromeEvents) carries process spans, kept
+// queries, re-plans and migrations on a single timeline.
+//
+// Span naming follows the metrics convention: `subsystem.verb`
+// ("scheduler.build", "query.wand").
 #pragma once
 
 #include <array>
@@ -34,6 +44,10 @@
 #include <vector>
 
 namespace resex::obs {
+
+/// Microseconds since the trace epoch (first use in the process). Every
+/// span and timeline event is stamped on this clock.
+std::uint64_t nowMicros() noexcept;
 
 /// Propagated per-query identity: which trace a span belongs to and which
 /// span is its parent. Copied by value into queue tasks; zero traceId
@@ -50,9 +64,9 @@ struct TraceContext {
   }
 };
 
-/// One numeric span annotation. Keys must be interned or literal strings
-/// (see Tracer::internName); values are doubles so counts, ids, and
-/// seconds all fit without per-arg allocation.
+/// One numeric span annotation. Keys must be string literals (storage that
+/// outlives every arena); values are doubles so counts, ids, and seconds
+/// all fit without per-arg allocation.
 struct SpanArg {
   const char* key = nullptr;
   double value = 0.0;
@@ -60,13 +74,14 @@ struct SpanArg {
 
 inline constexpr std::size_t kMaxSpanArgs = 12;
 
-/// A request-scoped span: identity, tree linkage, timing, and inline args.
+/// A span: identity, tree linkage, timing, and inline args. traceId == 0
+/// marks a process span (no trace, no parent).
 struct RichSpan {
-  const char* name = nullptr;  ///< literal or interned (stable) storage
+  const char* name = nullptr;  ///< string literal (outlives every arena)
   std::uint64_t traceId = 0;
   std::uint32_t spanId = 0;
   std::uint32_t parentSpanId = 0;  ///< 0 = root of its trace
-  std::uint64_t startUs = 0;       ///< microseconds since tracer epoch
+  std::uint64_t startUs = 0;       ///< nowMicros() at span open
   std::uint64_t durUs = 0;
   std::uint32_t tid = 0;
   std::uint32_t argCount = 0;
@@ -77,9 +92,9 @@ struct RichSpan {
   }
 };
 
-/// One thread's bounded ring of request-scoped spans. Same locking idiom
-/// as TraceBuffer: the owner thread writes under a mutex that is only ever
-/// contended by promotion/collection.
+/// One thread's bounded ring of spans (oldest overwritten first). The
+/// owner thread writes under a mutex that is only ever contended by
+/// promotion/collection.
 class SpanArena {
  public:
   explicit SpanArena(std::uint32_t tid, std::size_t capacity);
@@ -94,7 +109,7 @@ class SpanArena {
   /// recorded during the query's lifetime instead of the whole ring.
   void collectTraceSince(std::uint64_t traceId, std::uint64_t sinceUs,
                          std::vector<RichSpan>& out) const;
-  /// Every live span (timeline export and tests).
+  /// Every live span, oldest first (Chrome export and tests).
   std::vector<RichSpan> spans() const;
   void clear();
   std::uint32_t tid() const noexcept { return tid_; }
@@ -141,14 +156,14 @@ class TailSampler {
   bool keptInGroup_ = false;  ///< caps non-forced keeps at one per group
 };
 
-/// Process-wide registry for request-scoped traces: allocates trace/span
-/// ids, owns the per-thread arenas, applies tail sampling at retire, and
-/// stores the retained traces in a bounded ring for /traces and export.
+/// Process-wide span store: allocates trace/span ids, owns the per-thread
+/// arenas, applies tail sampling at retire, and stores the retained traces
+/// in a bounded ring for /traces and export.
 class TraceRegistry {
  public:
   static TraceRegistry& global();
 
-  /// Request-scoped tracing master switch (independent of Tracer's).
+  /// The tracing switch: process spans and request-scoped traces.
   void setEnabled(bool enabled) noexcept;
   static bool enabled() noexcept {
     return enabledFlag().load(std::memory_order_relaxed);
@@ -156,6 +171,11 @@ class TraceRegistry {
 
   /// Keep the slowest ~1/N non-forced queries (resets the sampler).
   void setKeepSlowestOf(std::uint32_t n);
+  /// Per-thread arena slots by default (about 4 MB of RichSpans). Sized
+  /// for both kinds of span: a solver thread records tens of thousands of
+  /// process spans per run, a serving worker a few per query.
+  static constexpr std::size_t kDefaultArenaCapacity = 16384;
+
   /// Retained-trace ring capacity (default 256) and per-thread arena
   /// capacity for arenas created after the call.
   void setTraceCapacity(std::size_t capacity);
@@ -191,12 +211,14 @@ class TraceRegistry {
   /// root_dur_us, spans:[{name,span_id,parent_span_id,ts_us,dur_us,tid,
   /// args:{...}}]}.
   std::string tracesJson() const;
-  /// Chrome trace_event objects (no surrounding array) for every retained
-  /// span and timeline event, appended to `out` — merged with the legacy
-  /// Tracer's export by obs::writeTraceFile.
+  /// Chrome trace_event objects (no surrounding array) for every process
+  /// span still in an arena, every retained trace span and every timeline
+  /// event, appended comma-separated to `out`; obs::writeTraceFile wraps
+  /// them into the one array.
   void appendChromeEvents(std::string& out) const;
 
-  /// Drops retained traces, timeline events, and arena contents; resets
+  /// Drops retained traces, timeline events, and arena contents (process
+  /// spans included); resets
   /// the sampler window. Counters (trace/span ids) keep advancing.
   void clear();
 
@@ -220,7 +242,7 @@ class TraceRegistry {
   std::vector<RichSpan> timeline_;   ///< bounded, oldest dropped
   std::size_t traceCapacity_ = 256;
   std::unique_ptr<TailSampler> sampler_ = std::make_unique<TailSampler>();
-  std::atomic<std::size_t> arenaCapacity_{4096};
+  std::atomic<std::size_t> arenaCapacity_{kDefaultArenaCapacity};
   std::atomic<std::uint64_t> nextTraceId_{1};
   std::atomic<std::uint32_t> nextSpanId_{1};
   std::atomic<std::uint32_t> nextTid_{1};
@@ -251,5 +273,33 @@ class ScopedSpan {
  private:
   RichSpan span_;
 };
+
+/// RAII process span; see RESEX_TRACE_SPAN. Records an untraced RichSpan
+/// (traceId == 0) into the calling thread's arena on scope exit.
+class ProcessSpan {
+ public:
+  explicit ProcessSpan(const char* name) noexcept
+      : name_(TraceRegistry::enabled() ? name : nullptr) {
+    if (name_) startUs_ = nowMicros();
+  }
+  ~ProcessSpan() {
+    if (name_) record();
+  }
+  ProcessSpan(const ProcessSpan&) = delete;
+  ProcessSpan& operator=(const ProcessSpan&) = delete;
+
+ private:
+  void record() const;
+
+  const char* name_;
+  std::uint64_t startUs_ = 0;
+};
+
+#define RESEX_OBS_CONCAT_IMPL(a, b) a##b
+#define RESEX_OBS_CONCAT(a, b) RESEX_OBS_CONCAT_IMPL(a, b)
+/// Records the enclosing scope as a process span named `name` (a string
+/// literal) when tracing is enabled.
+#define RESEX_TRACE_SPAN(name) \
+  ::resex::obs::ProcessSpan RESEX_OBS_CONCAT(resexTraceSpan_, __LINE__)(name)
 
 }  // namespace resex::obs

@@ -4,7 +4,6 @@
 
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
 
@@ -35,11 +34,7 @@ void defineExportFlags(Flags& flags) {
 }
 
 void applyExportFlags(const Flags& flags) {
-  if (!flags.str("trace-out").empty()) {
-    Tracer::global().setEnabled(true);
-    // Request-scoped tracing rides along: the export merges both planes.
-    TraceRegistry::global().setEnabled(true);
-  }
+  if (!flags.str("trace-out").empty()) TraceRegistry::global().setEnabled(true);
 }
 
 bool writeExportFlags(const Flags& flags) {
@@ -63,12 +58,7 @@ bool writeMetricsFile(const std::string& path, bool prometheus) {
 }
 
 bool writeTraceFile(const std::string& path) {
-  // One timeline for Perfetto: legacy process-scoped spans, retained
-  // request-scoped trace trees, and timeline events (controller epochs,
-  // migration phases) share the tracer epoch, so they merge into a single
-  // trace_event array.
-  const std::string legacy = Tracer::global().exportChromeTrace();
-  std::string events = legacy.substr(1, legacy.size() - 2);  // strip [ ]
+  std::string events;
   TraceRegistry::global().appendChromeEvents(events);
   return writeFile(path, "[" + events + "]");
 }

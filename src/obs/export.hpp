@@ -30,7 +30,8 @@ bool writeExportFlags(const Flags& flags);
 /// Writes the global registry snapshot as JSON (or Prometheus text).
 bool writeMetricsFile(const std::string& path, bool prometheus = false);
 
-/// Writes the global tracer's spans as a Chrome trace_event JSON array.
+/// Writes every span of the global TraceRegistry (process spans, retained
+/// query traces, timeline events) as one Chrome trace_event JSON array.
 bool writeTraceFile(const std::string& path);
 
 }  // namespace resex::obs

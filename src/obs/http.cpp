@@ -1,17 +1,13 @@
 #include "obs/http.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <stdexcept>
+#include <unordered_map>
 
+#include "net/socket.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -20,11 +16,6 @@
 namespace resex::obs {
 
 namespace {
-
-void setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 const char* statusText(int status) {
   switch (status) {
@@ -54,9 +45,8 @@ std::string renderResponse(const HttpResponse& response,
 
 /// One client connection's read/write state. Requests are head-only (GET
 /// with no body), so reading until "\r\n\r\n" or the size bound is the
-/// whole parse; the response is buffered and drained as POLLOUT allows.
+/// whole parse; the response is buffered and drained as the socket allows.
 struct HttpServer::Connection {
-  int fd = -1;
   std::string inbox;
   std::string outbox;
   std::size_t sent = 0;
@@ -64,42 +54,15 @@ struct HttpServer::Connection {
 };
 
 HttpServer::HttpServer(std::uint16_t port) {
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd_ < 0) throw std::runtime_error("HttpServer: socket() failed");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listenFd_, SOMAXCONN) < 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listenFd_);
-    listenFd_ = -1;
-    throw std::runtime_error("HttpServer: cannot listen on port " +
-                             std::to_string(port) + ": " + why);
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  setNonBlocking(listenFd_);
-  int pipeFds[2];
-  if (::pipe(pipeFds) != 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-    throw std::runtime_error("HttpServer: pipe() failed");
-  }
-  wakeRead_ = pipeFds[0];
-  wakeWrite_ = pipeFds[1];
-  setNonBlocking(wakeRead_);
+  bool reusePort = false;
+  listenFd_ = net::makeListener("127.0.0.1", port, false, reusePort);
+  port_ = net::boundPort(listenFd_);
+  poller_.add(listenFd_, net::kReadable);
 }
 
 HttpServer::~HttpServer() {
   stop();
   if (listenFd_ >= 0) ::close(listenFd_);
-  if (wakeRead_ >= 0) ::close(wakeRead_);
-  if (wakeWrite_ >= 0) ::close(wakeWrite_);
 }
 
 void HttpServer::handle(std::string path, HttpHandler handler) {
@@ -119,8 +82,7 @@ void HttpServer::stop() {
     return;
   }
   stopRequested_.store(true, std::memory_order_release);
-  const char wake = 'w';
-  [[maybe_unused]] const auto n = ::write(wakeWrite_, &wake, 1);
+  poller_.wake();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -132,120 +94,112 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) const {
   return HttpResponse::notFound();
 }
 
+bool HttpServer::readRequest(int fd, Connection& conn) {
+  char buf[2048];
+  bool peerClosed = false;
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      conn.inbox.append(buf, static_cast<std::size_t>(n));
+      if (conn.inbox.size() > kMaxRequestBytes) break;
+      continue;
+    }
+    peerClosed = n == 0;
+    break;
+  }
+  if (conn.inbox.size() > kMaxRequestBytes) {
+    conn.outbox = renderResponse(HttpResponse::text("request too large\n", 431));
+    conn.responding = true;
+  } else if (conn.inbox.find("\r\n\r\n") != std::string::npos) {
+    // Parse the request line; headers are read and ignored.
+    const std::string line = conn.inbox.substr(0, conn.inbox.find("\r\n"));
+    const std::size_t sp1 = line.find(' ');
+    const std::size_t sp2 =
+        sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
+    if (sp1 == std::string::npos || sp2 == std::string::npos) {
+      conn.outbox = renderResponse(HttpResponse::text("bad request\n", 400));
+    } else {
+      HttpRequest request;
+      request.method = line.substr(0, sp1);
+      std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+      if (const std::size_t qm = target.find('?'); qm != std::string::npos) {
+        request.query = target.substr(qm + 1);
+        target.resize(qm);
+      }
+      request.path = std::move(target);
+      HttpResponse response;
+      try {
+        response = dispatch(request);
+      } catch (const std::exception& e) {
+        response = HttpResponse::text(
+            std::string("handler error: ") + e.what() + "\n", 500);
+      }
+      conn.outbox = renderResponse(response, request.method != "HEAD");
+      requests_.fetch_add(1, std::memory_order_relaxed);
+    }
+    conn.responding = true;
+  }
+  // A peer that closed without completing a request head will never
+  // complete one; reap instead of polling it forever.
+  return !(peerClosed && !conn.responding);
+}
+
 void HttpServer::serveLoop() {
-  std::vector<Connection> connections;
-  std::vector<pollfd> fds;
+  std::unordered_map<int, Connection> connections;  ///< by fd
+  std::vector<net::PollEvent> events;
+  const auto drop = [&](int fd) {
+    poller_.remove(fd);
+    ::close(fd);
+    connections.erase(fd);
+  };
   while (!stopRequested_.load(std::memory_order_acquire)) {
-    fds.clear();
-    fds.push_back(pollfd{listenFd_, POLLIN, 0});
-    fds.push_back(pollfd{wakeRead_, POLLIN, 0});
-    for (const Connection& conn : connections)
-      fds.push_back(pollfd{conn.fd,
-                           static_cast<short>(conn.responding ? POLLOUT : POLLIN),
-                           0});
-    // No idle timeout: the wake pipe (fds[1], written by stop()) is the
-    // sole idle wakeup, so an idle server parks in the kernel instead of
-    // spinning awake four times a second.
-    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/-1) < 0) {
-      if (errno == EINTR) continue;
-      RESEX_LOG_ERROR("obs.http: poll failed: %s", std::strerror(errno));
+    // No idle timeout: stop() wakes the poller, so an idle server parks in
+    // the kernel instead of spinning awake.
+    try {
+      poller_.wait(events);
+    } catch (const std::runtime_error& e) {
+      RESEX_LOG_ERROR("obs.http: %s", e.what());
       break;
     }
-
-    if (fds[0].revents & POLLIN) {
-      for (;;) {
-        const int client = ::accept(listenFd_, nullptr, nullptr);
-        if (client < 0) break;
-        setNonBlocking(client);
-        const int one = 1;
-        ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        connections.push_back(Connection{client, {}, {}, 0, false});
-      }
-    }
-    if (fds[1].revents & POLLIN) {
-      char drain[16];
-      while (::read(wakeRead_, drain, sizeof drain) > 0) {
-      }
-    }
-
-    // fds[i + 2] corresponds to connections[i] as polled; connections
-    // accepted this round sit past the polled range and are skipped.
-    const std::size_t polled = fds.size() - 2;
-    for (std::size_t i = 0; i < polled && i < connections.size(); ++i) {
-      Connection& conn = connections[i];
-      bool drop = (fds[i + 2].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      if (!drop && !conn.responding && (fds[i + 2].revents & POLLIN)) {
-        char buf[2048];
-        bool peerClosed = false;
+    for (const net::PollEvent& ev : events) {
+      if (ev.fd == poller_.wakeFd()) continue;
+      if (ev.fd == listenFd_) {
         for (;;) {
-          const ssize_t n = ::read(conn.fd, buf, sizeof buf);
-          if (n > 0) {
-            conn.inbox.append(buf, static_cast<std::size_t>(n));
-            if (conn.inbox.size() > kMaxRequestBytes) break;
-            continue;
-          }
-          peerClosed = n == 0;
-          break;
+          const int client = net::acceptOne(listenFd_);
+          if (client < 0) break;
+          connections.emplace(client, Connection{});
+          poller_.add(client, net::kReadable);
         }
-        if (conn.inbox.size() > kMaxRequestBytes) {
-          conn.outbox = renderResponse(
-              HttpResponse::text("request too large\n", 431));
-          conn.responding = true;
-        } else if (const std::size_t headEnd = conn.inbox.find("\r\n\r\n");
-                   headEnd != std::string::npos) {
-          // Parse the request line; headers are read and ignored.
-          HttpRequest request;
-          const std::size_t lineEnd = conn.inbox.find("\r\n");
-          const std::string line = conn.inbox.substr(0, lineEnd);
-          const std::size_t sp1 = line.find(' ');
-          const std::size_t sp2 =
-              sp1 == std::string::npos ? std::string::npos
-                                       : line.find(' ', sp1 + 1);
-          if (sp1 == std::string::npos || sp2 == std::string::npos) {
-            conn.outbox =
-                renderResponse(HttpResponse::text("bad request\n", 400));
-          } else {
-            request.method = line.substr(0, sp1);
-            std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-            if (const std::size_t qm = target.find('?');
-                qm != std::string::npos) {
-              request.query = target.substr(qm + 1);
-              target.resize(qm);
-            }
-            request.path = std::move(target);
-            HttpResponse response;
-            try {
-              response = dispatch(request);
-            } catch (const std::exception& e) {
-              response = HttpResponse::text(
-                  std::string("handler error: ") + e.what() + "\n", 500);
-            }
-            conn.outbox = renderResponse(response, request.method != "HEAD");
-            requests_.fetch_add(1, std::memory_order_relaxed);
-          }
-          conn.responding = true;
+        continue;
+      }
+      const auto it = connections.find(ev.fd);
+      if (it == connections.end()) continue;
+      Connection& conn = it->second;
+      if (ev.events & net::kError) {
+        drop(ev.fd);
+        continue;
+      }
+      if (!conn.responding && (ev.events & net::kReadable)) {
+        if (!readRequest(ev.fd, conn)) {
+          drop(ev.fd);
+          continue;
         }
-        // A peer that closed without completing a request head will never
-        // complete one; reap instead of polling it forever.
-        if (peerClosed && !conn.responding) drop = true;
+        if (!conn.responding) continue;
+        poller_.mod(ev.fd, net::kWritable);
       }
-      if (!drop && conn.responding && (fds[i + 2].revents & POLLOUT)) {
-        // MSG_NOSIGNAL: a peer that disconnects mid-response must surface
-        // as EPIPE here, not raise SIGPIPE and kill the whole process.
-        const ssize_t n = ::send(conn.fd, conn.outbox.data() + conn.sent,
-                                 conn.outbox.size() - conn.sent, MSG_NOSIGNAL);
-        if (n > 0) conn.sent += static_cast<std::size_t>(n);
-        else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) drop = true;
-        if (conn.sent == conn.outbox.size()) drop = true;  // done: close
-      }
-      if (drop) {
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
+      // MSG_NOSIGNAL: a peer that disconnects mid-response must surface as
+      // EPIPE here, not raise SIGPIPE and kill the whole process.
+      const ssize_t n = ::send(ev.fd, conn.outbox.data() + conn.sent,
+                               conn.outbox.size() - conn.sent, MSG_NOSIGNAL);
+      if (n > 0) conn.sent += static_cast<std::size_t>(n);
+      const bool failed = n < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
+      if (failed || conn.sent == conn.outbox.size()) drop(ev.fd);  // done: close
     }
-    std::erase_if(connections, [](const Connection& c) { return c.fd < 0; });
   }
-  for (const Connection& conn : connections) ::close(conn.fd);
+  for (const auto& [fd, conn] : connections) {
+    poller_.remove(fd);
+    ::close(fd);
+  }
 }
 
 std::unique_ptr<HttpServer> serveIntrospection(int port,

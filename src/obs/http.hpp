@@ -3,9 +3,9 @@
 //
 // Scope is deliberately narrow — this is an operational debug surface, not
 // a web framework: one server thread multiplexing a handful of connections
-// with poll(), GET only, length-bounded requests (oversized input is
-// answered 431 and the connection dropped), every response carries
-// Content-Length and Connection: close. That is exactly enough for
+// on a net::Poller (the RPC server's event loop), GET only, length-bounded
+// requests (oversized input is answered 431 and the connection dropped),
+// every response carries Content-Length and Connection: close. That is exactly enough for
 // `curl`, a Prometheus scraper, or a dashboard poller, with no request
 // parsing attack surface to speak of.
 //
@@ -21,8 +21,8 @@
 //                  where a multi-tenant broker exists)
 //
 // Lifecycle: construct with a port (0 = ephemeral, port() tells), add
-// handlers, start(). stop() wakes the poll loop via a self-pipe and joins;
-// the destructor calls it.
+// handlers, start(). stop() wakes the poller and joins; the destructor
+// calls it.
 #pragma once
 
 #include <atomic>
@@ -33,6 +33,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "net/poller.hpp"
 
 namespace resex::obs {
 
@@ -74,7 +76,7 @@ class HttpServer {
   void handle(std::string path, HttpHandler handler);
 
   void start();
-  /// Stops accepting, wakes the poll loop, joins the thread. Idempotent.
+  /// Stops accepting, wakes the event loop, joins the thread. Idempotent.
   void stop();
 
   std::uint16_t port() const noexcept { return port_; }
@@ -92,12 +94,15 @@ class HttpServer {
   struct Connection;
 
   void serveLoop();
+  /// Reads the request head into conn.inbox and, once it is complete or
+  /// over the size bound, renders the response into conn.outbox. Returns
+  /// false when the peer closed before completing a head.
+  bool readRequest(int fd, Connection& conn);
   HttpResponse dispatch(const HttpRequest& request) const;
 
   std::vector<std::pair<std::string, HttpHandler>> routes_;
+  net::Poller poller_;
   int listenFd_ = -1;
-  int wakeRead_ = -1;
-  int wakeWrite_ = -1;
   std::uint16_t port_ = 0;
   std::thread thread_;
   std::atomic<bool> running_{false};

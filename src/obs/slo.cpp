@@ -4,14 +4,14 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::obs {
 
 namespace {
 
-double nowFromTracerEpoch() { return static_cast<double>(Tracer::nowMicros()) * 1e-6; }
+double nowSeconds() { return static_cast<double>(nowMicros()) * 1e-6; }
 
 }  // namespace
 
@@ -58,7 +58,7 @@ void SloWindow::record(double latencySeconds, bool error, double nowSeconds) {
 }
 
 void SloWindow::record(double latencySeconds, bool error) {
-  record(latencySeconds, error, nowFromTracerEpoch());
+  record(latencySeconds, error, nowSeconds());
 }
 
 LatencyHistogram SloWindow::mergedAt(double nowSeconds, SloSnapshot* counts) const {
@@ -98,7 +98,7 @@ SloSnapshot SloWindow::snapshotAt(double nowSeconds) const {
   return snap;
 }
 
-SloSnapshot SloWindow::snapshot() const { return snapshotAt(nowFromTracerEpoch()); }
+SloSnapshot SloWindow::snapshot() const { return snapshotAt(nowSeconds()); }
 
 double SloWindow::quantileAt(double q, double nowSeconds) const {
   // Computed from the merged in-window histogram: q = 0.6 is a real p60,
@@ -107,7 +107,7 @@ double SloWindow::quantileAt(double q, double nowSeconds) const {
 }
 
 double SloWindow::quantile(double q) const {
-  return quantileAt(q, nowFromTracerEpoch());
+  return quantileAt(q, nowSeconds());
 }
 
 SloRegistry& SloRegistry::global() {

@@ -5,8 +5,8 @@
 #include <condition_variable>
 #include <stdexcept>
 
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::serve {
@@ -354,7 +354,7 @@ void finishQueryTrace(const obs::TraceContext& rootCtx, std::uint32_t rootSpanId
   root.spanId = rootSpanId;
   root.parentSpanId = 0;
   root.startUs = rootStartUs;
-  root.durUs = obs::Tracer::nowMicros() - rootStartUs;
+  root.durUs = obs::nowMicros() - rootStartUs;
   root.tid = arena.tid();
   root.addArg("cache_hit", res.cacheHit ? 1.0 : 0.0);
   root.addArg("complete", res.complete ? 1.0 : 0.0);
@@ -398,7 +398,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     const obs::TraceContext trace = obs::TraceRegistry::global().startTrace();
     if (trace.active()) {
       rootSpanId = obs::TraceRegistry::global().nextSpanId();
-      rootStartUs = obs::Tracer::nowMicros();
+      rootStartUs = obs::nowMicros();
       rootCtx = trace.child(rootSpanId);
     }
   }
@@ -475,8 +475,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
           depths.clear();
           for (const auto& [mach, shard] : hosts)
             depths.push_back(queues_[mach]->size());
-          pick = chooseReplica(config_.routing, std::span<const std::size_t>(depths),
-                               rng);
+          pick = chooseReplica(std::span<const std::size_t>(depths), rng);
           depthAtPick = depths[pick];
         }
         peakDepthGauge().max(static_cast<double>(depthAtPick));
@@ -488,7 +487,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
         task.tenant = tenant;
         if (rootCtx.active()) {
           task.trace = rootCtx;
-          task.enqueueUs = obs::Tracer::nowMicros();
+          task.enqueueUs = obs::nowMicros();
           task.depthAtDispatch = static_cast<std::uint32_t>(depthAtPick);
         }
         const bool ok =
@@ -694,8 +693,8 @@ void QueryBroker::workerLoop(std::size_t machine) {
         execSpan.arg("partition", static_cast<double>(task.partition));
         execSpan.arg("shard", static_cast<double>(task.physicalShard));
         execSpan.arg("machine", static_cast<double>(machine));
-        execSpan.arg("queue_wait_us", static_cast<double>(
-                                          obs::Tracer::nowMicros() - task.enqueueUs));
+        execSpan.arg("queue_wait_us",
+                     static_cast<double>(obs::nowMicros() - task.enqueueUs));
         execSpan.arg("depth_at_dispatch",
                      static_cast<double>(task.depthAtDispatch));
       }

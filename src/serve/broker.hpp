@@ -71,7 +71,6 @@ struct ServeConfig {
   /// capacity[0] relative to the largest (min 1). Homogeneous clusters get
   /// exactly this many workers per machine.
   std::size_t workersPerMachine = 1;
-  RoutingPolicy routing = RoutingPolicy::kPowerOfTwo;
   /// Emulated service pacing: when either is > 0, a worker holds its
   /// machine busy until `serviceFixedSeconds +
   /// postingsScanned * servicePerPostingSeconds` have elapsed since it
@@ -104,11 +103,11 @@ struct ServeConfig {
   /// Multi-tenant mode: the query classes this broker serves, each with a
   /// fair-share weight, token guarantee/burst cap, and its own SLO class
   /// (see tenant.hpp). Empty = legacy single-class serving: one implicit
-  /// tenant, no admission control, `routing`-policy replica choice, FIFO
+  /// tenant, no admission control, power-of-two-choices replica choice, FIFO
   /// dispatch. Non-empty replaces FIFO with hierarchical fair-share
   /// ordering across tenant sub-queues and routes by greedy token
-  /// assignment (`routing` is ignored); execute() calls then identify
-  /// their tenant by id (registration order).
+  /// assignment; execute() calls then identify their tenant by id
+  /// (registration order).
   std::vector<TenantSpec> tenants;
   /// Execution-slot tokens per worker thread (tenant mode only): machine m
   /// contributes workers(m) * tokensPerWorker tokens, bounding its

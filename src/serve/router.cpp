@@ -4,35 +4,12 @@
 
 namespace resex::serve {
 
-const char* routingPolicyName(RoutingPolicy policy) noexcept {
-  switch (policy) {
-    case RoutingPolicy::kRandom: return "random";
-    case RoutingPolicy::kPowerOfTwo: return "p2c";
-    case RoutingPolicy::kLeastLoaded: return "least-loaded";
-  }
-  return "unknown";
-}
-
-std::size_t chooseReplica(RoutingPolicy policy, std::span<const std::size_t> depths,
-                          Rng& rng) {
+std::size_t chooseReplica(std::span<const std::size_t> depths, Rng& rng) {
   const std::size_t count = depths.size();
   if (count <= 1) return 0;
-  switch (policy) {
-    case RoutingPolicy::kRandom:
-      return rng.below(count);
-    case RoutingPolicy::kPowerOfTwo: {
-      const auto [a, b] = rng.twoDistinct(count);
-      if (depths[a] == depths[b]) return std::min(a, b);
-      return depths[b] < depths[a] ? b : a;
-    }
-    case RoutingPolicy::kLeastLoaded: {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < count; ++i)
-        if (depths[i] < depths[best]) best = i;
-      return best;
-    }
-  }
-  return 0;
+  const auto [a, b] = rng.twoDistinct(count);
+  if (depths[a] == depths[b]) return std::min(a, b);
+  return depths[b] < depths[a] ? b : a;
 }
 
 }  // namespace resex::serve

@@ -2,20 +2,13 @@
 //
 // A replicated shard can be served by any machine hosting one of its
 // replicas; the router picks which, using *live* queue depths as the load
-// signal. Policies, in increasing coordination cost:
+// signal: the less-backlogged of two *distinct* random replicas
+// (power-of-two-choices, Mitzenmacher). It is near-optimal with a stale
+// signal and reads O(1) depths per decision.
 //
-//   kRandom      — uniform replica, no signal (the baseline the load
-//                  balancing literature measures against);
-//   kPowerOfTwo  — the less-backlogged of two *distinct* random replicas
-//                  (Mitzenmacher); near-optimal with a stale signal and
-//                  O(1) depth reads, our default;
-//   kLeastLoaded — full scan for the minimum depth (token/least-loaded
-//                  dispatch à la Comte); best signal use, reads every
-//                  depth per decision.
-//
-// The choice function is pure over a depth span, so policies are unit
-// testable without threads; the broker supplies depths read from its
-// per-machine queues.
+// The choice function is pure over a depth span, so it is unit testable
+// without threads; the broker supplies depths read from its per-machine
+// queues.
 #pragma once
 
 #include <cstddef>
@@ -25,18 +18,9 @@
 
 namespace resex::serve {
 
-enum class RoutingPolicy {
-  kRandom,
-  kPowerOfTwo,
-  kLeastLoaded,
-};
-
-const char* routingPolicyName(RoutingPolicy policy) noexcept;
-
 /// Picks the index of the replica to serve a query, given the current
 /// queue depth of each candidate's machine. `depths` must be non-empty;
 /// ties break toward the lower index (deterministic for tests).
-std::size_t chooseReplica(RoutingPolicy policy, std::span<const std::size_t> depths,
-                          Rng& rng);
+std::size_t chooseReplica(std::span<const std::size_t> depths, Rng& rng);
 
 }  // namespace resex::serve

@@ -134,6 +134,14 @@ TEST(QueryExec, EmptyQueryAndEmptyTermBehave) {
   }
 }
 
+// topKDisjunctive is the block-max WAND core: degenerate inputs return
+// nothing rather than touching a cursor.
+TEST(BlockMaxWand, DegenerateInputs) {
+  Fixture f;
+  EXPECT_TRUE(topKDisjunctive(f.index, {}, 10, Bm25Params{}).empty());
+  EXPECT_TRUE(topKDisjunctive(f.index, {0}, 0, Bm25Params{}).empty());
+}
+
 TEST(QueryExec, StatsCountScannedPostings) {
   Fixture f;
   ExecStats stats;

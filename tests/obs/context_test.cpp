@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/mini_json.hpp"
-#include "obs/trace.hpp"
+#include "obs/export.hpp"
 
 namespace resex::obs {
 namespace {
@@ -25,7 +31,8 @@ class ContextTest : public ::testing::Test {
     TraceRegistry::global().clear();
     TraceRegistry::global().setKeepSlowestOf(64);
     TraceRegistry::global().setTraceCapacity(256);
-    TraceRegistry::global().setArenaCapacity(4096);
+    TraceRegistry::global().setArenaCapacity(
+        TraceRegistry::kDefaultArenaCapacity);
   }
 };
 
@@ -226,6 +233,7 @@ TEST_F(ContextTest, TracesJsonRoundTripsThroughParser) {
 }
 
 TEST_F(ContextTest, ChromeEventsAppendAsValidJsonArrayBody) {
+  { RESEX_TRACE_SPAN("test.process"); }
   const TraceContext ctx = TraceRegistry::global().startTrace();
   { ScopedSpan span(ctx, "test.chrome"); }
   TraceRegistry::global().retire(ctx, 100, true, "forced");
@@ -234,10 +242,16 @@ TEST_F(ContextTest, ChromeEventsAppendAsValidJsonArrayBody) {
   TraceRegistry::global().appendChromeEvents(events);
   ASSERT_FALSE(events.empty());
   const auto flat = MiniJson::flatten("[" + events + "]");
-  // One query span and one timeline event, each a complete "X" event.
-  EXPECT_EQ(flat.at("/#size"), "2");
-  EXPECT_EQ(flat.at("/0/ph"), "X");
-  EXPECT_EQ(flat.at("/1/ph"), "X");
+  // One process span, one query span and one timeline event, each a
+  // complete "X" event in its own category.
+  ASSERT_EQ(flat.at("/#size"), "3");
+  std::set<std::string> categories;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(flat.at("/" + std::to_string(i) + "/ph"), "X");
+    categories.insert(flat.at("/" + std::to_string(i) + "/cat"));
+  }
+  EXPECT_EQ(categories,
+            (std::set<std::string>{"resex", "resex.query", "resex.timeline"}));
 }
 
 TEST_F(ContextTest, ClearDropsTracesTimelineAndArenas) {
@@ -249,6 +263,284 @@ TEST_F(ContextTest, ClearDropsTracesTimelineAndArenas) {
   EXPECT_TRUE(TraceRegistry::global().recentTraces().empty());
   EXPECT_TRUE(TraceRegistry::global().timelineEvents().empty());
   EXPECT_TRUE(TraceRegistry::global().threadArena().spans().empty());
+}
+
+
+// -- Process spans (RESEX_TRACE_SPAN): untraced spans in the same arenas --
+
+class TraceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TraceRegistry::global().clear();
+    TraceRegistry::global().setEnabled(false);
+  }
+  void TearDown() override {
+    TraceRegistry::global().setEnabled(false);
+    TraceRegistry::global().clear();
+    TraceRegistry::global().setArenaCapacity(
+        TraceRegistry::kDefaultArenaCapacity);
+  }
+
+  /// The process's one trace export (obs::writeTraceFile), read back.
+  static std::string exportTrace() {
+    const std::string path = ::testing::TempDir() + "resex_trace_test.json";
+    EXPECT_TRUE(writeTraceFile(path));
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }
+
+  /// The calling thread's process spans, oldest first.
+  static std::vector<RichSpan> threadProcessSpans() {
+    std::vector<RichSpan> out;
+    for (const RichSpan& span : TraceRegistry::global().threadArena().spans())
+      if (span.traceId == 0) out.push_back(span);
+    return out;
+  }
+};
+
+TEST_F(TraceTest, DisabledRecordsNothing) {
+  {
+    RESEX_TRACE_SPAN("test.disabled");
+  }
+  EXPECT_TRUE(TraceRegistry::global().threadArena().spans().empty());
+  EXPECT_EQ(MiniJson::flatten(exportTrace()).at("/#size"), "0");
+}
+
+TEST_F(TraceTest, EnabledCapturesNameAndDuration) {
+  TraceRegistry::global().setEnabled(true);
+  {
+    RESEX_TRACE_SPAN("test.outer");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    { RESEX_TRACE_SPAN("test.inner"); }
+  }
+  TraceRegistry::global().setEnabled(false);
+  const std::vector<RichSpan> spans = threadProcessSpans();
+  ASSERT_EQ(spans.size(), 2u);
+  // Recorded at scope exit: the inner span closes first.
+  EXPECT_STREQ(spans[0].name, "test.inner");
+  EXPECT_STREQ(spans[1].name, "test.outer");
+  EXPECT_EQ(spans[1].traceId, 0u);
+  EXPECT_EQ(spans[1].parentSpanId, 0u);
+  EXPECT_GE(spans[1].durUs, 1000u);
+  EXPECT_GE(spans[0].startUs, spans[1].startUs);
+  EXPECT_LE(spans[0].startUs + spans[0].durUs,
+            spans[1].startUs + spans[1].durUs + 1);
+}
+
+TEST_F(TraceTest, ThreadsGetDistinctTids) {
+  TraceRegistry::global().setEnabled(true);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i)
+    threads.emplace_back([] { RESEX_TRACE_SPAN("test.worker"); });
+  for (auto& t : threads) t.join();
+  TraceRegistry::global().setEnabled(false);
+  // Arenas survive thread exit, so the export still sees all four.
+  const auto flat = MiniJson::flatten(exportTrace());
+  ASSERT_EQ(flat.at("/#size"), "4");
+  std::set<std::string> tids;
+  for (int i = 0; i < 4; ++i) {
+    const std::string event = "/" + std::to_string(i);
+    EXPECT_EQ(flat.at(event + "/name"), "test.worker");
+    tids.insert(flat.at(event + "/tid"));
+  }
+  EXPECT_EQ(tids.size(), 4u);
+}
+
+TEST_F(TraceTest, RingKeepsMostRecentSpans) {
+  TraceRegistry::global().setArenaCapacity(8);
+  TraceRegistry::global().setEnabled(true);
+  // A fresh thread so the small capacity applies to a new arena.
+  std::vector<RichSpan> spans;
+  std::thread([&spans] {
+    for (int i = 0; i < 20; ++i) {
+      RESEX_TRACE_SPAN("test.wrap");
+    }
+    spans = threadProcessSpans();
+  }).join();
+  TraceRegistry::global().setEnabled(false);
+  ASSERT_EQ(spans.size(), 8u);
+  // Oldest-first ordering must survive the wrap: starts are monotone.
+  for (std::size_t i = 1; i < spans.size(); ++i)
+    EXPECT_GE(spans[i].startUs, spans[i - 1].startUs);
+}
+
+TEST_F(TraceTest, ChromeExportIsValidTraceEventArray) {
+  TraceRegistry::global().setEnabled(true);
+  { RESEX_TRACE_SPAN("test.export"); }
+  TraceRegistry::global().setEnabled(false);
+  const auto flat = MiniJson::flatten(exportTrace());
+  EXPECT_EQ(flat.at("/#size"), "1");
+  EXPECT_EQ(flat.at("/0/name"), "test.export");
+  EXPECT_EQ(flat.at("/0/cat"), "resex");
+  EXPECT_EQ(flat.at("/0/ph"), "X");
+  EXPECT_EQ(flat.at("/0/pid"), "1");
+  EXPECT_NO_THROW(std::stod(flat.at("/0/ts")));
+  EXPECT_NO_THROW(std::stod(flat.at("/0/dur")));
+}
+
+TEST_F(TraceTest, EmptyExportIsValidEmptyArray) {
+  const auto flat = MiniJson::flatten(exportTrace());
+  EXPECT_EQ(flat.at("/#size"), "0");
+}
+
+TEST_F(TraceTest, UntracedSpansDoNotCutTracePromotionShort) {
+  // Process spans share the worker arena with a traced query's spans.
+  // Retire's newest-first scan stops at the first span that ended before
+  // the query started, so it relies on the ring being in end-time order
+  // whatever kind of span sits in between.
+  TraceRegistry::global().setEnabled(true);
+  std::uint64_t startUs = 0;
+  TraceContext ctx;
+  {
+    // Opens well before the query and closes inside it: a scan keyed on
+    // start time rather than end time would stop here.
+    RESEX_TRACE_SPAN("test.outer");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    startUs = nowMicros();
+    ctx = TraceRegistry::global().startTrace();
+    ScopedSpan first(ctx, "test.first");
+    { RESEX_TRACE_SPAN("test.untraced.a"); }
+    { ScopedSpan nested(first.childContext(), "test.nested"); }
+    { RESEX_TRACE_SPAN("test.untraced.b"); }
+  }
+  { ScopedSpan last(ctx, "test.last"); }
+  { RESEX_TRACE_SPAN("test.untraced.c"); }
+  ASSERT_TRUE(TraceRegistry::global().retire(ctx, nowMicros() - startUs,
+                                             /*forceKeep=*/true, "forced"));
+  TraceRegistry::global().setEnabled(false);
+  const std::vector<TraceRecord> traces = TraceRegistry::global().recentTraces();
+  ASSERT_EQ(traces.size(), 1u);
+  std::set<std::string> names;
+  for (const RichSpan& span : traces[0].spans) names.insert(span.name);
+  EXPECT_EQ(names, (std::set<std::string>{"test.first", "test.nested",
+                                          "test.last"}));
+}
+
+// -- Concurrency: writers record while readers collect and export. Written
+// for the TSan CI job, so missing synchronization in the arenas or the
+// registry shows up as a reported race rather than a flaky assertion.
+
+TEST(TraceConcurrency, BufferRecordRacesCollectCleanly) {
+  SpanArena arena(1, 64);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::uint64_t t = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      RichSpan span;
+      span.name = "test.span";
+      span.startUs = t++;
+      span.durUs = 1;
+      arena.record(span);
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<RichSpan> spans = arena.spans();
+    EXPECT_LE(spans.size(), 64u);
+    for (const RichSpan& span : spans) EXPECT_STREQ(span.name, "test.span");
+    std::vector<RichSpan> none;
+    arena.collectTraceSince(7, 0, none);
+    EXPECT_TRUE(none.empty());
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  arena.clear();
+  EXPECT_TRUE(arena.spans().empty());
+}
+
+TEST(TraceConcurrency, TracerThreadsRecordWhileExporting) {
+  TraceRegistry& registry = TraceRegistry::global();
+  registry.clear();
+  registry.setArenaCapacity(256);
+  registry.setEnabled(true);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w)
+    writers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        RESEX_TRACE_SPAN("test.concurrent");
+      }
+    });
+  for (int i = 0; i < 50; ++i) {
+    std::string events;
+    registry.appendChromeEvents(events);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : writers) t.join();
+  registry.setEnabled(false);
+  registry.clear();
+  registry.setArenaCapacity(TraceRegistry::kDefaultArenaCapacity);
+}
+
+TEST(TraceConcurrency, ArenaWraparoundUnderConcurrentCollect) {
+  SpanArena arena(1, 32);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::uint32_t id = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      RichSpan span;
+      span.name = "test.wrap";
+      span.traceId = 1 + (id % 8);
+      span.spanId = id++;
+      arena.record(span);
+    }
+  });
+  for (int i = 0; i < 300; ++i) {
+    std::vector<RichSpan> out;
+    arena.collectTrace(1 + (i % 8), out);
+    EXPECT_LE(out.size(), 32u);
+    EXPECT_LE(arena.spans().size(), 32u);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+}
+
+TEST(TraceConcurrency, RegistryRetireRacesReaders) {
+  TraceRegistry& registry = TraceRegistry::global();
+  registry.clear();
+  registry.setEnabled(true);
+  registry.setKeepSlowestOf(8);
+  registry.setTraceCapacity(64);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> retired{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w)
+    workers.emplace_back([&, w] {
+      std::uint64_t i = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const TraceContext ctx = registry.startTrace();
+        {
+          ScopedSpan span(ctx, "test.query");
+          span.arg("worker", static_cast<double>(w));
+        }
+        registry.retire(ctx, 10 + (i % 100), (i % 7) == 0, "deadline");
+        retired.fetch_add(1, std::memory_order_relaxed);
+        ++i;
+      }
+    });
+  std::thread timeline([&] {
+    std::uint64_t t = 0;
+    while (!stop.load(std::memory_order_relaxed))
+      registry.emitTimeline("test.epoch", t++, 1);
+  });
+  for (int i = 0; i < 100; ++i) {
+    registry.recentTraces();
+    registry.tracesJson();
+    std::string events;
+    registry.appendChromeEvents(events);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : workers) t.join();
+  timeline.join();
+
+  EXPECT_EQ(registry.tracesKept() + registry.tracesDropped(), retired.load());
+  EXPECT_LE(registry.recentTraces().size(), 64u);
+  registry.setEnabled(false);
+  registry.clear();
+  registry.setKeepSlowestOf(64);
+  registry.setTraceCapacity(256);
 }
 
 }  // namespace

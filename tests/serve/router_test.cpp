@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 namespace resex::serve {
@@ -11,28 +10,7 @@ namespace {
 TEST(Router, SingleCandidateAlwaysChosen) {
   Rng rng(1);
   const std::vector<std::size_t> depths{42};
-  for (const RoutingPolicy policy :
-       {RoutingPolicy::kRandom, RoutingPolicy::kPowerOfTwo,
-        RoutingPolicy::kLeastLoaded}) {
-    for (int i = 0; i < 20; ++i)
-      EXPECT_EQ(chooseReplica(policy, depths, rng), 0u);
-  }
-}
-
-TEST(Router, LeastLoadedPicksMinimumTieBreakingLow) {
-  Rng rng(2);
-  const std::vector<std::size_t> depths{5, 3, 3, 9};
-  for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(chooseReplica(RoutingPolicy::kLeastLoaded, depths, rng), 1u);
-}
-
-TEST(Router, RandomCoversAllReplicas) {
-  Rng rng(3);
-  const std::vector<std::size_t> depths{0, 0, 0, 0};
-  std::set<std::size_t> seen;
-  for (int i = 0; i < 400; ++i)
-    seen.insert(chooseReplica(RoutingPolicy::kRandom, depths, rng));
-  EXPECT_EQ(seen.size(), depths.size());
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(chooseReplica(depths, rng), 0u);
 }
 
 // Regression: power-of-two-choices must sample two *distinct* replicas.
@@ -42,8 +20,7 @@ TEST(Router, RandomCoversAllReplicas) {
 TEST(Router, PowerOfTwoOnTwoReplicasAlwaysPicksIdle) {
   Rng rng(4);
   const std::vector<std::size_t> depths{7, 0};
-  for (int i = 0; i < 500; ++i)
-    EXPECT_EQ(chooseReplica(RoutingPolicy::kPowerOfTwo, depths, rng), 1u);
+  for (int i = 0; i < 500; ++i) EXPECT_EQ(chooseReplica(depths, rng), 1u);
 }
 
 TEST(Router, PowerOfTwoNeverPicksWorstOfThree) {
@@ -53,15 +30,8 @@ TEST(Router, PowerOfTwoNeverPicksWorstOfThree) {
   Rng rng(5);
   const std::vector<std::size_t> depths{2, 8, 2};
   int worst = 0;
-  for (int i = 0; i < 500; ++i)
-    worst += chooseReplica(RoutingPolicy::kPowerOfTwo, depths, rng) == 1u;
+  for (int i = 0; i < 500; ++i) worst += chooseReplica(depths, rng) == 1u;
   EXPECT_EQ(worst, 0);
-}
-
-TEST(Router, PolicyNamesAreStable) {
-  EXPECT_STREQ(routingPolicyName(RoutingPolicy::kRandom), "random");
-  EXPECT_STREQ(routingPolicyName(RoutingPolicy::kPowerOfTwo), "p2c");
-  EXPECT_STREQ(routingPolicyName(RoutingPolicy::kLeastLoaded), "least-loaded");
 }
 
 }  // namespace
