@@ -543,7 +543,7 @@ int main(int argc, char** argv) {
   json.field("deadline_seconds", deadlineSeconds);
   json.field("service_fixed_seconds", serviceFixed);
   json.field("service_per_posting_seconds", servicePerPosting);
-  json.field("routing", "p2c");
+  json.field("routing", "token");
   json.field("hot_ms_initial", hotInitial * 1e3);
   json.field("hot_ms_greedy", hotGreedy * 1e3);
   json.field("hot_ms_sra", hotSra * 1e3);

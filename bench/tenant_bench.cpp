@@ -4,7 +4,7 @@
 // queue-poisoning deadline sheds.
 //
 // Design. One small skewed partitioned index served by the multi-threaded
-// QueryBroker in tenant mode, with the same two reproducibility levers as
+// QueryBroker with two tenants, with the same two reproducibility levers as
 // serve_bench: deterministic service pacing (each task holds its machine
 // busy for fixed + per-posting seconds) and open-loop arrivals (clients
 // replay a shared trace on a fixed schedule). Two tenants:
@@ -18,7 +18,7 @@
 //
 // The token arithmetic is sized so outcomes are structural, not lucky:
 // every query needs `partitions` tokens (one per fan-out task). With 4
-// machines x 1 worker x 36 tokens = 144 total, batch's cap is
+// machines x (1 worker + 35 queued) = 144 tokens total, batch's cap is
 // max(.05*144, 3.0*144/17) = 25.4 tokens — exactly one in-flight query;
 // its second concurrent query is rejected over-share at admission. The
 // interactive cap (135.5) exceeds its client count times fan-out (5*24 =
@@ -97,21 +97,27 @@ std::string liveBrokerJson(std::string (resex::serve::QueryBroker::*fn)() const)
   return gLiveBroker ? (gLiveBroker->*fn)() : std::string("{}");
 }
 
-/// Replays the shared trace through a tenant-mode broker: each stream's
+/// `base` with per-phase SLO classes ("<phase>.<tenant>"), which keep the
+/// global registry's windows distinct between the baseline and burst
+/// phases.
+serve::ServeConfig phaseConfig(const std::string& phase,
+                               const serve::ServeConfig& base) {
+  serve::ServeConfig config = base;
+  for (serve::TenantSpec& tenant : config.tenants)
+    tenant.sloClass = phase + "." + tenant.name;
+  return config;
+}
+
+/// Replays the shared trace through a two-tenant broker: each stream's
 /// clients pull query i from a per-stream cursor and issue it at
-/// phaseStart + i/qps (immediately when behind). Per-phase SLO classes
-/// ("<phase>.<tenant>") keep the global registry's windows distinct
-/// between the baseline and burst phases.
+/// phaseStart + i/qps (immediately when behind).
 PhaseOutcome runPhase(const std::string& name, const Instance& instance,
                       const std::vector<MachineId>& mapping,
                       const PartitionedIndex& index,
                       const std::vector<std::vector<TermId>>& trace,
                       const serve::ServeConfig& baseConfig,
                       const std::vector<Stream>& streams) {
-  serve::ServeConfig config = baseConfig;
-  for (serve::TenantSpec& tenant : config.tenants)
-    tenant.sloClass = name + "." + tenant.name;
-  serve::QueryBroker broker(instance, mapping, index, config);
+  serve::QueryBroker broker(instance, mapping, index, phaseConfig(name, baseConfig));
   publishLiveBroker(&broker);
   WallTimer timer;
   std::vector<bench::OpenLoopStream> loops(streams.size());
@@ -192,7 +198,6 @@ int main(int argc, char** argv) {
       // clients unblock at expiry while their unshed tasks still hold
       // tokens — and that cascade is host noise, not tenancy.
       .define("deadline-ms", "1000", "per-query deadline")
-      .define("tokens-per-worker", "36", "execution-slot tokens per worker")
       .define("interactive-rho", "0.6",
               "interactive offered load vs cluster saturation (both phases)")
       .define("batch-share", "0.1", "batch tenant's nominal capacity share")
@@ -309,7 +314,7 @@ int main(int argc, char** argv) {
               hot * 1e3, interactiveQps, flags.real("interactive-rho"), batchQps,
               flags.real("batch-burst-x"), batchFairQps);
 
-  // -- Tenant-mode serving config ------------------------------------------
+  // -- Two-tenant serving config --------------------------------------------
   serve::TenantSpec interactive;
   interactive.name = "interactive";
   interactive.weight = 16.0;
@@ -327,7 +332,9 @@ int main(int argc, char** argv) {
   serveConfig.servicePerPostingSeconds = servicePerPosting;
   serveConfig.seed = seed;
   serveConfig.tenants = {interactive, batch};
-  serveConfig.tokensPerWorker = flags.real("tokens-per-worker");
+  // 35 queued tasks beyond each machine's one worker: 36 tokens per
+  // machine, 144 in all (see the token arithmetic in the header comment).
+  serveConfig.queueCapacity = 35;
   // Every phase's samples must stay inside the sliding window for the
   // per-tenant SLO views to see the whole phase.
   serveConfig.slo.windowSeconds = 600.0;
@@ -338,15 +345,16 @@ int main(int argc, char** argv) {
 
   // Token arithmetic sanity: a query needs one token per partition, so a
   // cap below the fan-out admits nothing at all (a config bug, not a
-  // throttling result).
+  // throttling result). The totals come from a broker's own bank, built
+  // with the first phase's config so it registers no extra SLO window.
   {
-    const serve::TenantRegistry registry(serveConfig.tenants);
-    double tokens = 0.0;
-    for (std::size_t m = 0; m < machineCount; ++m)
-      tokens += std::max(1.0, std::round(serveConfig.tokensPerWorker));
-    const double batchCap = registry.capTokens(1, tokens);
-    std::printf("tokens %.0f | batch cap %.1f | interactive cap %.1f\n", tokens,
-                batchCap, registry.capTokens(0, tokens));
+    const serve::QueryBroker probe(instance, mapping, index,
+                                   phaseConfig("solo", serveConfig));
+    const serve::TokenBank& bank = *probe.tokenBank();
+    const double batchCap = bank.cap(1);
+    std::printf("tokens %llu | batch cap %.1f | interactive cap %.1f\n",
+                static_cast<unsigned long long>(bank.totalTokens()), batchCap,
+                bank.cap(0));
     if (batchCap < static_cast<double>(partitions)) {
       std::fprintf(stderr,
                    "tenant_bench: batch cap %.1f tokens < %zu-way fan-out — "
@@ -460,7 +468,7 @@ int main(int argc, char** argv) {
   json.field("batch_fair_qps", batchFairQps);
   json.field("duration_seconds", duration);
   json.field("deadline_seconds", deadlineSeconds);
-  json.field("tokens_per_worker", serveConfig.tokensPerWorker);
+  json.field("queue_capacity", static_cast<std::uint64_t>(serveConfig.queueCapacity));
   json.field("reps", static_cast<std::uint64_t>(reps));
   // Per-rep phase records; the "slo" objects inside read the global
   // sliding windows, which accumulate across reps of the same phase.

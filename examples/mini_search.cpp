@@ -9,10 +9,10 @@
 //
 // With --serve the partitions are additionally hosted on a small simulated
 // cluster behind the concurrent QueryBroker (src/serve/): client threads
-// fire the same queries at it, shard tasks route by power-of-two-choices
-// over live queue depths, results come back through the sharded LRU cache,
-// and the run ends with per-machine utilization and client-side latency
-// percentiles.
+// fire the same queries at it, shard tasks route by token admission to the
+// hosting machine with the most free slots, results come back through the
+// sharded LRU cache, and the run ends with per-machine utilization and
+// client-side latency percentiles.
 //
 //   ./mini_search --serve [--machines M] [--clients C] [--cache N]
 //

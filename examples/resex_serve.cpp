@@ -47,7 +47,9 @@ int main(int argc, char** argv) {
       .define("shards", "4", "synthetic corpus: index partitions")
       .define("machines", "2", "simulated machines hosting the partitions")
       .define("workers", "2", "worker threads per machine")
-      .define("queue-capacity", "1024", "per-machine work queue bound")
+      .define("queue-capacity", "1024",
+              "tasks a machine may queue beyond its workers (its execution "
+              "slot tokens are workers + this)")
       .define("cache", "4096", "result cache entries (0 = off)")
       .define("topk", "10", "default results per query")
       .define("deadline-ms", "0",

@@ -7,6 +7,7 @@
 
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
+#include "util/histogram.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::serve {
@@ -16,17 +17,6 @@ using Clock = std::chrono::steady_clock;
 
 double secondsBetween(Clock::time_point from, Clock::time_point to) noexcept {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// Per-client-thread routing RNG. Routing decisions are the only
-/// randomness in the serving path; a per-thread stream avoids a shared
-/// lock without giving every thread the same choice sequence.
-Rng& clientRng() {
-  static std::atomic<std::uint64_t> nextStream{1};
-  thread_local Rng rng(0x2545f4914f6cdd1dULL ^
-                       (nextStream.fetch_add(1, std::memory_order_relaxed) *
-                        0x9e3779b97f4a7c15ULL));
-  return rng;
 }
 
 obs::Counter& queriesCounter() {
@@ -120,10 +110,13 @@ struct QueryBroker::MachineStats {
   double busySeconds = 0.0;
 };
 
-/// Per-tenant window accumulators. Counters are atomics (written from
+/// Per-tenant window accumulators — the broker's only query accounting;
+/// ObservedLoad's totals are their sums. Counters are atomics (written from
 /// client and worker threads); the latency histogram covers served queries
 /// only — rejections appear in the rejection counters and the tenant's SLO
-/// error rate, never as latency samples.
+/// error rate, never as latency samples. Every tenant's histogram shares
+/// one bucket layout, so merging them for the broker-wide quantiles is
+/// exact.
 struct QueryBroker::TenantStats {
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> cacheHits{0};
@@ -170,23 +163,29 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
       throw std::invalid_argument("QueryBroker: mapping machine out of range");
   }
 
-  // Tenant table: the configured query classes, or one implicit class in
-  // legacy mode — which keeps the fair-share queues degenerate FIFOs and
-  // skips token admission and per-tenant SLO registration entirely.
-  tenantMode_ = !config_.tenants.empty();
-  if (tenantMode_) {
-    registry_ = TenantRegistry(config_.tenants);
-  } else {
+  // Tenant table: the configured query classes, or one implicit class that
+  // owns every token — which keeps the fair-share queues degenerate FIFOs.
+  // Its SLO window is ServeConfig::sloClass, registered only when named.
+  const bool implicitTenant = config_.tenants.empty();
+  if (implicitTenant) {
     TenantSpec implicit;
     implicit.name = "default";
+    implicit.guaranteedShare = 1.0;
+    implicit.sloClass = config_.sloClass;
+    implicit.slo = config_.slo;
     registry_ = TenantRegistry({std::move(implicit)});
+  } else {
+    if (!config_.sloClass.empty())
+      throw std::invalid_argument(
+          "QueryBroker: sloClass names the implicit tenant's window; with "
+          "tenants configured, set each TenantSpec::sloClass instead");
+    registry_ = TenantRegistry(config_.tenants);
   }
 
   queues_.reserve(m);
   machineStats_.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    queues_.push_back(
-        std::make_unique<FairShareQueue<Task>>(config_.queueCapacity, registry_.tree()));
+    queues_.push_back(std::make_unique<FairShareQueue<Task>>(registry_.tree()));
     machineStats_.push_back(std::make_unique<MachineStats>());
   }
   tenantStats_.reserve(registry_.count());
@@ -199,14 +198,11 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
   mapping_ = std::move(mapping);
   rebuildHosts(mapping_);
 
-  if (!config_.sloClass.empty())
-    slo_ = &obs::SloRegistry::global().window(config_.sloClass, config_.slo);
-  if (tenantMode_) {
-    tenantSlos_.reserve(registry_.count());
+  tenantSlos_.assign(registry_.count(), nullptr);
+  if (!implicitTenant || !config_.sloClass.empty())
     for (TenantId t = 0; t < registry_.count(); ++t)
-      tenantSlos_.push_back(&obs::SloRegistry::global().window(
-          registry_.sloClassOf(t), registry_.spec(t).slo));
-  }
+      tenantSlos_[t] = &obs::SloRegistry::global().window(registry_.sloClassOf(t),
+                                                          registry_.spec(t).slo);
   if (config_.tracing)
     obs::TraceRegistry::global().setKeepSlowestOf(config_.traceKeepSlowestOf);
 
@@ -224,17 +220,14 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
         std::max<std::size_t>(1, static_cast<std::size_t>(std::lround(base * scale)));
   }
 
-  // Execution-slot tokens scale with each machine's worker pool, so
-  // admission sees the same capacity skew routing does.
-  if (tenantMode_) {
-    std::vector<std::uint32_t> slots(m);
-    for (std::size_t i = 0; i < m; ++i)
-      slots[i] = std::max<std::uint32_t>(
-          1, static_cast<std::uint32_t>(
-                 std::lround(static_cast<double>(workersPerMachine_[i]) *
-                             config_.tokensPerWorker)));
-    bank_ = std::make_unique<TokenBank>(std::move(slots), registry_);
-  }
+  // Execution-slot tokens: each worker's slot plus the queue allowance,
+  // so admission sees the machine's capacity skew and bounds its tasks in
+  // flight at workers + queueCapacity.
+  std::vector<std::uint32_t> slots(m);
+  for (std::size_t i = 0; i < m; ++i)
+    slots[i] = static_cast<std::uint32_t>(std::min<std::size_t>(
+        workersPerMachine_[i] + config_.queueCapacity, UINT32_MAX));
+  bank_ = std::make_unique<TokenBank>(std::move(slots), registry_);
 
   windowStart_ = Clock::now();
   accepting_.store(true, std::memory_order_release);
@@ -312,10 +305,6 @@ std::shared_ptr<const InvertedIndex> QueryBroker::applyShardMove(
   return old;
 }
 
-QueryResult QueryBroker::execute(const std::vector<TermId>& terms) {
-  return execute(terms, 0);
-}
-
 QueryResult QueryBroker::execute(const std::vector<TermId>& terms, TenantId tenant) {
   // Synchronous facade over the async path: park this thread until the
   // completion fires. The deadline wait the old implementation did on the
@@ -384,7 +373,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     return true;
   }
   RESEX_TRACE_SPAN("serve.query");
-  queries_.fetch_add(1, std::memory_order_relaxed);
   tstats.queries.fetch_add(1, std::memory_order_relaxed);
   queriesCounter().add();
 
@@ -409,21 +397,8 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     result.cacheHit = true;
     result.partitionsAnswered = result.partitionsTotal;
     result.latencySeconds = secondsBetween(t0, Clock::now());
-    cacheHits_.fetch_add(1, std::memory_order_relaxed);
     tstats.cacheHits.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(latencyMutex_);
-      latency_.add(result.latencySeconds);
-    }
-    latencyHistogram().observe(result.latencySeconds * 1e6);
-    if (slo_) slo_->record(result.latencySeconds, false);
-    if (tenantMode_) {
-      {
-        std::lock_guard lock(tstats.mutex);
-        tstats.latency.add(result.latencySeconds);
-      }
-      tenantSlos_[tenant]->record(result.latencySeconds, false);
-    }
+    recordServed(tenant, result.latencySeconds, false);
     finishQueryTrace(rootCtx, rootSpanId, rootStartUs, result);
     completion(std::move(result));
     return true;
@@ -444,71 +419,55 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   pending->rootSpanId = rootSpanId;
   pending->rootStartUs = rootStartUs;
 
-  // Route and enqueue one task per partition. In tenant mode routing *is*
-  // token admission: the query acquires one execution-slot token per
-  // partition (each greedily bound to the freest hosting machine) and a
-  // rejection returns immediately — over-share traffic is turned away here
-  // instead of poisoning the shared queues and being shed worker-side.
-  // Failed pushes (deadline hit while backpressured, or shutdown closed
-  // the queue) count the partition as missed immediately and hand their
-  // token straight back.
+  // Routing *is* token admission: one execution-slot token per partition,
+  // each bound to the freest hosting machine, then a task per token.
+  // Over-share traffic is turned away here instead of poisoning the shared
+  // queues. A query short of slots waits for a release — outside the
+  // mapping lock, so cutovers never stall behind it — until its deadline. A
+  // push fails only on a queue closed by shutdown: the partition counts as
+  // missed and its token goes straight back.
   std::size_t missedPushes = 0;
   Admission verdict = Admission::kAdmitted;
   {
     obs::ScopedSpan routeSpan(rootCtx, "query.route");
-    std::shared_lock lock(mappingMutex_);
-    std::vector<std::uint32_t> tokenPicks;
-    if (tenantMode_)
-      verdict = bank_->acquire(
-          tenant, std::span<const std::vector<ReplicaHost>>(hosts_), tokenPicks);
-    if (verdict == Admission::kAdmitted) {
-      Rng& rng = clientRng();
-      std::vector<std::size_t> depths;
-      for (std::uint32_t g = 0; g < partitionCount_; ++g) {
-        const auto& hosts = hosts_[g];
-        std::size_t pick;
-        std::size_t depthAtPick;
-        if (tenantMode_) {
-          pick = tokenPicks[g];
-          depthAtPick = queues_[hosts[pick].first]->size();
-        } else {
-          depths.clear();
-          for (const auto& [mach, shard] : hosts)
-            depths.push_back(queues_[mach]->size());
-          pick = chooseReplica(std::span<const std::size_t>(depths), rng);
-          depthAtPick = depths[pick];
-        }
-        peakDepthGauge().max(static_cast<double>(depthAtPick));
-        const auto [mach, shard] = hosts[pick];
-        Task task;
-        task.pending = pending;
-        task.partition = g;
-        task.physicalShard = shard;
-        task.tenant = tenant;
-        if (rootCtx.active()) {
-          task.trace = rootCtx;
-          task.enqueueUs = obs::nowMicros();
-          task.depthAtDispatch = static_cast<std::uint32_t>(depthAtPick);
-        }
-        const bool ok =
-            !options.waitForQueue
-                ? queues_[mach]->tryPush(std::move(task), tenant)
-                : (pending->hasDeadline
-                       ? queues_[mach]->pushUntil(std::move(task), tenant,
-                                                  pending->deadline)
-                       : queues_[mach]->push(std::move(task), tenant));
-        if (!ok) {
-          ++missedPushes;
-          // The task never reached a worker, so its token returns here.
-          if (tenantMode_) bank_->release(tenant, mach);
+    std::vector<std::uint32_t> picks;
+    for (;;) {
+      const std::uint64_t epoch = bank_->releaseEpoch();
+      {
+        std::shared_lock lock(mappingMutex_);
+        verdict = bank_->acquire(tenant, hosts_, picks);
+        if (verdict == Admission::kAdmitted) {
+          for (std::uint32_t g = 0; g < partitionCount_; ++g) {
+            const auto [mach, shard] = hosts_[g][picks[g]];
+            const std::size_t depth = queues_[mach]->size();
+            peakDepthGauge().max(static_cast<double>(depth));
+            Task task;
+            task.pending = pending;
+            task.partition = g;
+            task.physicalShard = shard;
+            if (rootCtx.active()) {
+              task.trace = rootCtx;
+              task.enqueueUs = obs::nowMicros();
+              task.depthAtDispatch = static_cast<std::uint32_t>(depth);
+            }
+            if (!queues_[mach]->push(std::move(task), tenant)) {
+              ++missedPushes;
+              bank_->release(tenant, mach);
+            }
+          }
+          break;
         }
       }
+      if (verdict != Admission::kRejectedNoToken || !options.waitForQueue ||
+          !bank_->awaitRelease(epoch, pending->hasDeadline
+                                          ? std::optional(pending->deadline)
+                                          : std::nullopt))
+        break;
     }
     if (routeSpan.active()) {
       routeSpan.arg("partitions", static_cast<double>(partitionCount_));
       routeSpan.arg("missed_pushes", static_cast<double>(missedPushes));
-      if (tenantMode_)
-        routeSpan.arg("admitted", verdict == Admission::kAdmitted ? 1.0 : 0.0);
+      routeSpan.arg("admitted", verdict == Admission::kAdmitted ? 1.0 : 0.0);
     }
   }
   if (verdict != Admission::kAdmitted) {
@@ -521,10 +480,11 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
                                             : tstats.rejectedOverShare)
         .fetch_add(1, std::memory_order_relaxed);
     rejectedCounter().add();
-    tenantSlos_[tenant]->record(result.latencySeconds, true);
+    if (obs::SloWindow* slo = tenantSlos_[tenant])
+      slo->record(result.latencySeconds, true);
     finishQueryTrace(rootCtx, rootSpanId, rootStartUs, result);
     pending->completion(std::move(result));
-    return true;
+    return verdict == Admission::kRejectedOverShare;
   }
 
   bool alreadyDone = false;
@@ -534,13 +494,23 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     alreadyDone = pending->remaining == 0;
   }
   if (alreadyDone) {
-    // Every push failed (shutdown race or total backpressure): nothing is
-    // in flight, deliver the empty degraded result right here.
+    // Every push met a closed queue (shutdown race): nothing is in
+    // flight, deliver the empty degraded result right here.
     deliver(pending, /*viaTimer=*/false);
   } else if (pending->hasDeadline) {
     armDeadline(pending);
   }
   return missedPushes == 0;
+}
+
+void QueryBroker::recordServed(TenantId tenant, double seconds, bool error) {
+  TenantStats& tstats = *tenantStats_[tenant];
+  {
+    std::lock_guard lock(tstats.mutex);
+    tstats.latency.add(seconds);
+  }
+  latencyHistogram().observe(seconds * 1e6);
+  if (obs::SloWindow* slo = tenantSlos_[tenant]) slo->record(seconds, error);
 }
 
 void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
@@ -569,27 +539,13 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
   }
 
   result.latencySeconds = secondsBetween(pending->t0, Clock::now());
-  TenantStats& tstats = *tenantStats_[pending->tenant];
   if (!result.complete) {
-    expiredQueries_.fetch_add(1, std::memory_order_relaxed);
-    tstats.expiredQueries.fetch_add(1, std::memory_order_relaxed);
+    tenantStats_[pending->tenant]->expiredQueries.fetch_add(1, std::memory_order_relaxed);
     expiredCounter().add();
   } else {
     cache_.put(pending->key, result.docs);
   }
-  {
-    std::lock_guard lock(latencyMutex_);
-    latency_.add(result.latencySeconds);
-  }
-  latencyHistogram().observe(result.latencySeconds * 1e6);
-  if (slo_) slo_->record(result.latencySeconds, !result.complete);
-  if (tenantMode_) {
-    {
-      std::lock_guard lock(tstats.mutex);
-      tstats.latency.add(result.latencySeconds);
-    }
-    tenantSlos_[pending->tenant]->record(result.latencySeconds, !result.complete);
-  }
+  recordServed(pending->tenant, result.latencySeconds, !result.complete);
   finishQueryTrace(pending->rootCtx, pending->rootSpanId, pending->rootStartUs,
                    result);
   // The completion runs outside every broker lock; it may re-enter the
@@ -727,8 +683,7 @@ void QueryBroker::workerLoop(std::size_t machine) {
           paceDebt -= secondsBetween(sleepStart, Clock::now());
         }
       } else {
-        shedTasks_.fetch_add(1, std::memory_order_relaxed);
-        tenantStats_[task.tenant]->shedTasks.fetch_add(1, std::memory_order_relaxed);
+        tenantStats_[pending.tenant]->shedTasks.fetch_add(1, std::memory_order_relaxed);
         shedCounter().add();
         busy = secondsBetween(start, Clock::now());
       }
@@ -743,7 +698,7 @@ void QueryBroker::workerLoop(std::size_t machine) {
         blocksDecoded_.fetch_add(exec.blocksDecoded, std::memory_order_relaxed);
         blocksSkipped_.fetch_add(exec.blocksSkipped, std::memory_order_relaxed);
         heapPrunes_.fetch_add(exec.heapThresholdPrunes, std::memory_order_relaxed);
-        TenantStats& tstats = *tenantStats_[task.tenant];
+        TenantStats& tstats = *tenantStats_[pending.tenant];
         tstats.tasks.fetch_add(1, std::memory_order_relaxed);
         tstats.postings.fetch_add(exec.postingsScanned, std::memory_order_relaxed);
         tstats.busyNanos.fetch_add(static_cast<std::uint64_t>(busy * 1e9),
@@ -764,7 +719,7 @@ void QueryBroker::workerLoop(std::size_t machine) {
 
     // The execution slot returns to this machine the moment the work (or
     // the shed) is done, so admission sees capacity again before delivery.
-    if (tenantMode_) bank_->release(task.tenant, static_cast<MachineId>(machine));
+    bank_->release(pending.tenant, static_cast<MachineId>(machine));
 
     // Stats land before delivery so a client observing its result's
     // completion also observes the work accounted (snapshot consistency
@@ -803,17 +758,10 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.shardPostings.resize(n);
   out.shardBusySeconds.resize(n);
   {
-    std::lock_guard lock(latencyMutex_);
+    std::lock_guard lock(windowMutex_);
     const auto now = Clock::now();
     out.windowSeconds = secondsBetween(windowStart_, now);
-    out.p50 = latency_.quantile(0.50);
-    out.p95 = latency_.quantile(0.95);
-    out.p99 = latency_.quantile(0.99);
-    out.meanLatency = latency_.meanValue();
-    if (resetWindow) {
-      windowStart_ = now;
-      latency_ = LatencyHistogram{1e-6, 12};
-    }
+    if (resetWindow) windowStart_ = now;
   }
   for (std::size_t i = 0; i < m; ++i) {
     MachineStats& stats = *machineStats_[i];
@@ -838,35 +786,39 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.blocksDecoded = harvest(blocksDecoded_);
   out.blocksSkipped = harvest(blocksSkipped_);
   out.heapThresholdPrunes = harvest(heapPrunes_);
-  out.queries = harvest(queries_);
-  out.cacheHits = harvest(cacheHits_);
-  out.expiredQueries = harvest(expiredQueries_);
-  out.shedTasks = harvest(shedTasks_);
-  if (tenantMode_) {
-    out.tenants.resize(registry_.count());
-    for (std::size_t t = 0; t < registry_.count(); ++t) {
-      TenantStats& ts = *tenantStats_[t];
-      ObservedLoad::TenantLoad& tl = out.tenants[t];
-      tl.name = registry_.spec(static_cast<TenantId>(t)).name;
-      tl.queries = harvest(ts.queries);
-      tl.cacheHits = harvest(ts.cacheHits);
-      tl.rejectedOverShare = harvest(ts.rejectedOverShare);
-      tl.rejectedNoToken = harvest(ts.rejectedNoToken);
-      tl.expiredQueries = harvest(ts.expiredQueries);
-      tl.shedTasks = harvest(ts.shedTasks);
-      tl.tasks = harvest(ts.tasks);
-      tl.postings = harvest(ts.postings);
-      tl.busySeconds = static_cast<double>(harvest(ts.busyNanos)) * 1e-9;
-      {
-        std::lock_guard lock(ts.mutex);
-        tl.p50 = ts.latency.quantile(0.50);
-        tl.p95 = ts.latency.quantile(0.95);
-        tl.p99 = ts.latency.quantile(0.99);
-        tl.meanLatency = ts.latency.meanValue();
-        if (resetWindow) ts.latency = LatencyHistogram{1e-6, 12};
-      }
+  LatencyHistogram latency{1e-6, 12};
+  out.tenants.resize(registry_.count());
+  for (std::size_t t = 0; t < registry_.count(); ++t) {
+    TenantStats& ts = *tenantStats_[t];
+    ObservedLoad::TenantLoad& tl = out.tenants[t];
+    tl.name = registry_.spec(static_cast<TenantId>(t)).name;
+    tl.queries = harvest(ts.queries);
+    tl.cacheHits = harvest(ts.cacheHits);
+    tl.rejectedOverShare = harvest(ts.rejectedOverShare);
+    tl.rejectedNoToken = harvest(ts.rejectedNoToken);
+    tl.expiredQueries = harvest(ts.expiredQueries);
+    tl.shedTasks = harvest(ts.shedTasks);
+    tl.tasks = harvest(ts.tasks);
+    tl.postings = harvest(ts.postings);
+    tl.busySeconds = static_cast<double>(harvest(ts.busyNanos)) * 1e-9;
+    {
+      std::lock_guard lock(ts.mutex);
+      tl.p50 = ts.latency.quantile(0.50);
+      tl.p95 = ts.latency.quantile(0.95);
+      tl.p99 = ts.latency.quantile(0.99);
+      tl.meanLatency = ts.latency.meanValue();
+      latency.merge(ts.latency);
+      if (resetWindow) ts.latency.reset();
     }
+    out.queries += tl.queries;
+    out.cacheHits += tl.cacheHits;
+    out.expiredQueries += tl.expiredQueries;
+    out.shedTasks += tl.shedTasks;
   }
+  out.p50 = latency.quantile(0.50);
+  out.p95 = latency.quantile(0.95);
+  out.p99 = latency.quantile(0.99);
+  out.meanLatency = latency.meanValue();
   return out;
 }
 
@@ -962,13 +914,8 @@ std::string QueryBroker::shardsJson() const {
 
 std::string QueryBroker::tenantsJson() const {
   JsonWriter json;
-  json.beginObject();
-  json.field("tenant_mode", tenantMode_);
-  if (!tenantMode_) {
-    json.endObject();
-    return json.str();
-  }
   const ObservedLoad load = peekObservedLoad();
+  json.beginObject();
   json.field("window_seconds", load.windowSeconds);
   json.field("total_tokens", bank_->totalTokens());
   json.field("free_tokens", bank_->freeTokens());
@@ -983,7 +930,6 @@ std::string QueryBroker::tenantsJson() const {
     json.field("weight", spec.weight);
     json.field("guaranteed_share", spec.guaranteedShare);
     json.field("burst_limit", spec.burstLimit);
-    json.field("slo_class", registry_.sloClassOf(id));
     json.field("held_tokens", bank_->heldBy(id));
     json.field("entitled_tokens", bank_->entitled(id));
     json.field("cap_tokens", bank_->cap(id));
@@ -1000,16 +946,19 @@ std::string QueryBroker::tenantsJson() const {
     json.field("p95_seconds", tl.p95);
     json.field("p99_seconds", tl.p99);
     json.field("mean_seconds", tl.meanLatency);
-    const obs::SloSnapshot slo = tenantSlos_[t]->snapshot();
-    json.key("slo").beginObject();
-    json.field("objective", slo.objective);
-    json.field("total", slo.total);
-    json.field("errors", slo.errors);
-    json.field("error_rate", slo.errorRate);
-    json.field("burn_rate", slo.burnRate);
-    json.field("p99_seconds", slo.p99);
-    json.field("latency_breaches", slo.latencyBreaches);
-    json.endObject();
+    if (const obs::SloWindow* window = tenantSlos_[t]) {
+      const obs::SloSnapshot slo = window->snapshot();
+      json.field("slo_class", registry_.sloClassOf(id));
+      json.key("slo").beginObject();
+      json.field("objective", slo.objective);
+      json.field("total", slo.total);
+      json.field("errors", slo.errors);
+      json.field("error_rate", slo.errorRate);
+      json.field("burn_rate", slo.burnRate);
+      json.field("p99_seconds", slo.p99);
+      json.field("latency_breaches", slo.latencyBreaches);
+      json.endObject();
+    }
     json.endObject();
   }
   json.endArray();
@@ -1020,10 +969,12 @@ std::string QueryBroker::tenantsJson() const {
 void QueryBroker::shutdown() {
   accepting_.store(false, std::memory_order_release);
   std::call_once(shutdownOnce_, [this] {
-    // Drain order matters for exactly-once delivery: queues reject new
-    // work but workers pop everything already accepted, so every pending
-    // query's remaining-count reaches zero and delivers. Only then does
-    // the timer stop — its leftover entries are all delivered no-ops.
+    // Drain order matters for exactly-once delivery: queries waiting for a
+    // token give up (rejected), queues reject new work but workers pop
+    // everything already accepted, so every pending query's remaining-count
+    // reaches zero and delivers. Only then does the timer stop — its
+    // leftover entries are all delivered no-ops.
+    bank_->close();
     for (const auto& queue : queues_) queue->close();
     for (std::thread& worker : workers_) worker.join();
     {

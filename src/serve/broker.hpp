@@ -3,31 +3,32 @@
 // This is where the paper's claim is actually exercised: a shard mapping
 // is only "better" if real queries, served by real threads against real
 // per-shard indexes, see better tail latency under it. The broker models
-// one machine as one bounded work queue plus a worker pool sized by the
-// machine's CPU capacity; a query scatter-gathers over every logical
-// partition, each partition task routed to one hosting replica by live
-// queue depth (see router.hpp), and completes when all partitions answer —
-// or when its deadline expires, in which case the client gets the merged
-// partial from whatever partitions made it (degraded, never blocked).
+// one machine as one work queue plus a worker pool sized by the machine's
+// CPU capacity; a query scatter-gathers over every logical partition and
+// completes when all partitions answer — or when its deadline expires, in
+// which case the client gets the merged partial from whatever partitions
+// made it (degraded, never blocked). One TokenBank (see tenant.hpp)
+// admits, routes and bounds that work for every tenant, implicit or not.
 //
 // Life of a query (execute() is called concurrently by client threads):
 //   1. result-cache probe (TinyLFU-admitted sharded LRU keyed on the
 //      canonical query; complete results only);
-//   2. route: per partition, pick a hosting machine from live queue
-//      depths; enqueue a task (bounded push — backpressure; with a
-//      deadline the push itself gives up at the deadline);
+//   2. admit and route: one token per partition, bound to the hosting
+//      replica with the most free slots; enqueue a task per token. Short
+//      of slots the query waits until its deadline (backpressure) or, when
+//      it may not wait, is rejected;
 //   3. workers pop tasks, skip ones whose query already expired (load
 //      shedding), otherwise run BM25 top-k over the partition's inverted
 //      index with global statistics and deliver the partial;
 //   4. the client thread waits on the query's condition variable until
 //      all partitions answered or the deadline passed; merges partials.
 //
-// Shutdown: queues reject new work but drain what was accepted, so every
-// in-flight query's remaining-count reaches zero — clean join, no orphan
-// waiters. applyMapping() swaps the routing table; tasks already queued
-// finish on their old machines (the way a live migration drains). A move
-// changes where a shard is served, not what it holds, so cached results
-// stay valid across every remap and cutover.
+// Shutdown: token waiters are rejected; queues reject new work but drain
+// what was accepted, so every in-flight query's remaining-count reaches
+// zero — clean join, no orphan waiters. applyMapping() swaps the routing
+// table; tasks already queued finish on their old machines (the way a live
+// migration drains). A move changes where a shard is served, not what it
+// holds, so cached results stay valid across every remap and cutover.
 //
 // Observability: aggregate counters/histograms go to the obs:: registry
 // (serve.queries, serve.query_latency_us, ...); per-machine and per-shard
@@ -54,9 +55,7 @@
 #include "obs/slo.hpp"
 #include "serve/fair_share.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/router.hpp"
 #include "serve/tenant.hpp"
-#include "util/histogram.hpp"
 
 namespace resex::serve {
 
@@ -65,7 +64,8 @@ struct ServeConfig {
   std::uint32_t topK = 10;
   /// Per-query deadline; <= 0 serves without one.
   double deadlineSeconds = 0.0;
-  /// Per-machine work queue capacity (backpressure bound).
+  /// Machine m gets workers(m) + queueCapacity execution-slot tokens: the
+  /// bound on its tasks in flight (backpressure).
   std::size_t queueCapacity = 1024;
   /// Worker threads on the *largest* machine; other machines scale by
   /// capacity[0] relative to the largest (min 1). Homogeneous clusters get
@@ -97,24 +97,16 @@ struct ServeConfig {
   std::uint32_t traceKeepSlowestOf = 64;
   /// When non-empty, every query outcome is recorded into the globally
   /// registered obs::SloRegistry window of this name (latency + error =
-  /// degraded/cancelled), making the broker a live SLO source.
+  /// degraded/rejected), making the broker a live SLO source. The implicit
+  /// tenant's window: setting it together with `tenants` throws.
   std::string sloClass;
   obs::SloConfig slo;
-  /// Multi-tenant mode: the query classes this broker serves, each with a
-  /// fair-share weight, token guarantee/burst cap, and its own SLO class
-  /// (see tenant.hpp). Empty = legacy single-class serving: one implicit
-  /// tenant, no admission control, power-of-two-choices replica choice, FIFO
-  /// dispatch. Non-empty replaces FIFO with hierarchical fair-share
-  /// ordering across tenant sub-queues and routes by greedy token
-  /// assignment; execute() calls then identify their tenant by id
-  /// (registration order).
+  /// The query classes this broker serves, each with a fair-share weight,
+  /// token guarantee/burst cap, and its own SLO class (see tenant.hpp);
+  /// execute() calls identify their tenant by id (registration order).
+  /// Empty = one implicit tenant {"default", guaranteedShare 1}, which
+  /// owns every token and so is only turned away for lack of a slot.
   std::vector<TenantSpec> tenants;
-  /// Execution-slot tokens per worker thread (tenant mode only): machine m
-  /// contributes workers(m) * tokensPerWorker tokens, bounding its
-  /// in-flight tasks at admission. 1.0 admits no queueing at all; larger
-  /// values allow a bounded backlog inside which fair-share ordering
-  /// operates.
-  double tokensPerWorker = 4.0;
 };
 
 /// What the client gets back.
@@ -126,12 +118,12 @@ struct QueryResult {
   bool cacheHit = false;
   /// The broker was shutting down; no work was attempted.
   bool cancelled = false;
-  /// Token admission turned the query away (tenant mode only): the tenant
-  /// was over its share, or no machine had a free execution slot. No work
-  /// was attempted; counted against the tenant's SLO but not its latency
-  /// quantiles (which cover served queries only).
+  /// Token admission turned the query away: the tenant was over its share,
+  /// or no machine had a free execution slot (by the deadline, when the
+  /// query waited). No work was attempted; counted against the tenant's SLO
+  /// but not its latency quantiles (which cover served queries only).
   bool rejected = false;
-  /// Which tenant the query was accounted to (0 in legacy mode).
+  /// Which tenant the query was accounted to.
   TenantId tenant = 0;
   std::uint32_t partitionsAnswered = 0;
   std::uint32_t partitionsTotal = 0;
@@ -170,9 +162,9 @@ struct ObservedLoad {
   std::uint64_t heapThresholdPrunes = 0;
   /// Client-visible latency over the window.
   double p50 = 0.0, p95 = 0.0, p99 = 0.0, meanLatency = 0.0;
-  /// Per-tenant heat over the window (tenant mode only; empty in legacy
-  /// mode). Latency quantiles cover served queries; rejected queries show
-  /// up only in the rejection counters and the tenant's SLO error rate.
+  /// Per-tenant heat over the window; the totals above are its sums.
+  /// Latency quantiles cover served queries; rejected queries show up only
+  /// in the rejection counters and the tenant's SLO error rate.
   struct TenantLoad {
     std::string name;
     std::uint64_t queries = 0;
@@ -205,16 +197,15 @@ struct ObservedLoad {
 };
 
 /// Per-call overrides for submit(). Defaults reproduce execute()'s
-/// behavior exactly (config-driven top-k and deadline, blocking pushes).
+/// behavior exactly (config-driven top-k and deadline, waiting for slots).
 struct SubmitOptions {
   TenantId tenant = 0;
   /// 0 = ServeConfig::topK.
   std::uint32_t topK = 0;
   /// < 0 = ServeConfig::deadlineSeconds; 0 = no deadline; > 0 = override.
   double deadlineSeconds = -1.0;
-  /// When false the submit path never blocks: partition tasks are
-  /// enqueued with tryPush and a full queue counts the partition as
-  /// missed (degraded result) instead of waiting for a slot. This is the
+  /// When false the submit path never blocks: a query short of free slots
+  /// is rejected at once instead of waiting until its deadline. This is the
   /// transport-thread contract — an event loop cannot sleep on
   /// backpressure; it propagates the false return to the socket instead.
   bool waitForQueue = true;
@@ -222,8 +213,8 @@ struct SubmitOptions {
 
 /// Invoked exactly once per submit() with the query's final result — on
 /// the submitting thread (cache hit, admission reject, cancelled, every
-/// push missed), a worker thread (last partition answered), or the
-/// deadline timer thread (expiry with partials). Must not block for
+/// push refused at shutdown), a worker thread (last partition answered),
+/// or the deadline timer thread (expiry with partials). Must not block for
 /// long: it runs inside serving threads.
 using QueryCompletion = std::function<void(QueryResult)>;
 
@@ -250,29 +241,26 @@ class QueryBroker {
   QueryBroker(const QueryBroker&) = delete;
   QueryBroker& operator=(const QueryBroker&) = delete;
 
-  /// Serves one query; thread-safe, blocking (bounded by the deadline when
-  /// one is configured). After shutdown() returns cancelled results.
-  /// Equivalent to execute(terms, 0) — tenant 0 is the implicit legacy
-  /// tenant, or the first registered one in tenant mode.
-  QueryResult execute(const std::vector<TermId>& terms);
-
   /// Serves one query on behalf of `tenant` (an index into
-  /// ServeConfig::tenants). In tenant mode the query first passes token
-  /// admission — a rejection returns immediately with result.rejected set —
-  /// and its tasks are dispatched in fair-share order against the tenant's
-  /// weight. Throws std::out_of_range on an unknown tenant id.
+  /// ServeConfig::tenants; tenant 0 is the implicit default tenant, or the
+  /// first registered one); thread-safe, blocking (bounded by the deadline
+  /// when one is configured). After shutdown() returns cancelled results.
+  /// The query first passes token admission — a rejection returns with
+  /// result.rejected set — and its tasks are dispatched in fair-share order
+  /// against the tenant's weight. Throws std::out_of_range on an unknown
+  /// tenant id.
   /// Implemented as submit() + wait, so sync and async callers share one
   /// code path.
-  QueryResult execute(const std::vector<TermId>& terms, TenantId tenant);
+  QueryResult execute(const std::vector<TermId>& terms, TenantId tenant = 0);
 
   /// Asynchronous serve: no thread blocks per in-flight query. The
   /// completion is invoked exactly once on every path — cache hit,
   /// admission reject, shutdown-cancelled, push failure, deadline expiry
   /// (partial result via the timer thread), and normal completion (the
   /// worker answering the last partition delivers). Returns false when
-  /// at least one partition task could not be enqueued (queue full /
-  /// timed out) — the scheduling layer's backpressure signal to the
-  /// transport; the completion still fires with the degraded result.
+  /// no slot was free (or a queue closed by shutdown refused a task) — the
+  /// scheduling layer's backpressure signal to the transport; the
+  /// completion still fires with the rejected or degraded result.
   /// Throws std::out_of_range on an unknown tenant id.
   bool submit(const std::vector<TermId>& terms, const SubmitOptions& options,
               QueryCompletion completion);
@@ -322,7 +310,7 @@ class QueryBroker {
   std::string shardsJson() const;
   /// JSON for /debug/tenants: per-tenant spec (weight, guarantee, burst
   /// cap), live token state (held / entitled / cap), window heat, and the
-  /// tenant's SLO snapshot. `{"tenantMode": false}` in legacy mode.
+  /// tenant's SLO snapshot (when it has a window).
   std::string tenantsJson() const;
 
   /// Entries currently held by the deadline timer heap (armed queries
@@ -347,11 +335,10 @@ class QueryBroker {
   /// invalidations). Moves never need it.
   void clearCache() { cache_.clear(); }
 
-  bool tenantMode() const noexcept { return tenantMode_; }
   /// The validated tenant table (count() == 1 with the implicit "default"
-  /// spec in legacy mode).
+  /// spec when no tenants are configured).
   const TenantRegistry& tenantRegistry() const noexcept { return registry_; }
-  /// The admission token bank; null in legacy mode.
+  /// The admission token bank; never null.
   const TokenBank* tokenBank() const noexcept { return bank_.get(); }
 
  private:
@@ -360,8 +347,6 @@ class QueryBroker {
     std::shared_ptr<PendingQuery> pending;
     std::uint32_t partition = 0;
     ShardId physicalShard = 0;
-    /// Accounting + token-return identity; 0 in legacy mode.
-    TenantId tenant = 0;
     /// Request-scoped trace linkage (inert when the query is untraced):
     /// the query's root span is the parent, so per-partition execution
     /// spans recorded by workers attach to the client's trace tree.
@@ -373,6 +358,8 @@ class QueryBroker {
   struct TenantStats;
 
   void workerLoop(std::size_t machine);
+  /// Records a served query's latency and SLO outcome.
+  void recordServed(TenantId tenant, double seconds, bool error);
   /// Merges partials, accounts the outcome (cache/latency/SLO/trace), and
   /// invokes the completion — exactly once per query, guarded by
   /// PendingQuery::delivered. `viaTimer` marks a deadline expiry (the
@@ -412,11 +399,10 @@ class QueryBroker {
   std::vector<std::size_t> workersPerMachine_;
   std::vector<std::thread> workers_;
 
-  // Tenant layer. registry_ always holds at least one spec (an implicit
-  // "default" in legacy mode); bank_ and the per-tenant SLO windows exist
-  // only in tenant mode.
+  // Tenant layer. registry_ always holds at least one spec (the implicit
+  // "default" when none are configured). tenantSlos_[t] is null only for
+  // an implicit tenant without ServeConfig::sloClass.
   TenantRegistry registry_;
-  bool tenantMode_ = false;
   std::unique_ptr<TokenBank> bank_;
   std::vector<std::unique_ptr<TenantStats>> tenantStats_;
   std::vector<obs::SloWindow*> tenantSlos_;
@@ -432,16 +418,8 @@ class QueryBroker {
   std::atomic<std::uint64_t> blocksDecoded_{0};
   std::atomic<std::uint64_t> blocksSkipped_{0};
   std::atomic<std::uint64_t> heapPrunes_{0};
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> cacheHits_{0};
-  std::atomic<std::uint64_t> expiredQueries_{0};
-  std::atomic<std::uint64_t> shedTasks_{0};
-  std::mutex latencyMutex_;
-  LatencyHistogram latency_{1e-6, 12};
+  std::mutex windowMutex_;  ///< guards windowStart_
   std::chrono::steady_clock::time_point windowStart_;
-  /// Registered SLO window when config.sloClass is set (global registry
-  /// reference, valid forever).
-  obs::SloWindow* slo_ = nullptr;
 
   // Deadline timer: a min-heap of armed pending queries serviced by one
   // thread. Entries hold weak_ptrs — outstanding tasks keep an

@@ -18,16 +18,14 @@
 // cheaper than any heap maintenance.
 //
 // FairShareQueue<T> wraps the scheduler and per-tenant sub-queues behind
-// the bounded multi-producer multi-consumer contract the broker's workers
-// rely on — bounded capacity as backpressure, deadline-bounded push that
-// rejects already-expired deadlines up front, blocking pop, drain-on-close
-// — with pop order across tenants fair-share, not arrival order (within a
-// tenant it stays FIFO; with one tenant the queue is a plain FIFO). Capacity is a shared memory bound, not
-// an isolation mechanism; isolation happens earlier, at token admission
-// (see tenant.hpp).
+// the multi-producer multi-consumer contract the broker's workers rely on
+// — non-blocking push, blocking pop, drain-on-close — with pop order across
+// tenants fair-share, not arrival order (within a tenant it stays FIFO;
+// with one tenant the queue is a plain FIFO). The queue itself is
+// unbounded: what bounds it is token admission (see tenant.hpp), which
+// caps each machine's tasks in flight before they are pushed here.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -85,56 +83,26 @@ class FairShareScheduler {
   std::size_t totalPending_ = 0;
 };
 
-/// Bounded MPMC queue with fair-share pop ordering across tenant
-/// sub-queues (see file comment); `T` moves through untouched.
+/// MPMC queue with fair-share pop ordering across tenant sub-queues (see
+/// file comment); `T` moves through untouched.
 template <typename T>
 class FairShareQueue {
  public:
-  FairShareQueue(std::size_t capacity, FairShareTreeSpec tree)
-      : capacity_(capacity ? capacity : 1), scheduler_(std::move(tree)),
-        queues_(scheduler_.tenantCount()) {}
+  explicit FairShareQueue(FairShareTreeSpec tree)
+      : scheduler_(std::move(tree)), queues_(scheduler_.tenantCount()) {}
 
   FairShareQueue(const FairShareQueue&) = delete;
   FairShareQueue& operator=(const FairShareQueue&) = delete;
 
-  /// Blocks while full; returns false if the queue is (or becomes) closed.
+  /// Never blocks; returns false only once the queue is closed.
   bool push(T item, TenantId tenant) {
-    std::unique_lock lock(mutex_);
-    notFull_.wait(lock, [this] { return size_ < capacity_ || closed_; });
-    if (closed_) return false;
-    enqueueLocked(std::move(item), tenant);
-    lock.unlock();
-    notEmpty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push: fails immediately when full or closed. This is
-  /// the event-loop submit path — a transport thread must never sleep on
-  /// a queue slot; a false return becomes read-side backpressure.
-  bool tryPush(T item, TenantId tenant) {
     {
       std::lock_guard lock(mutex_);
-      if (closed_ || size_ >= capacity_) return false;
-      enqueueLocked(std::move(item), tenant);
+      if (closed_) return false;
+      queues_.at(tenant).push_back(std::move(item));
+      scheduler_.onEnqueue(tenant);
+      ++size_;
     }
-    notEmpty_.notify_one();
-    return true;
-  }
-
-  /// Like push but gives up at `deadline`; returns false on timeout or
-  /// close. An already-expired deadline is rejected up front even with
-  /// room — enqueueing work the worker is guaranteed to shed would burn a
-  /// bounded slot.
-  bool pushUntil(T item, TenantId tenant,
-                 std::chrono::steady_clock::time_point deadline) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::unique_lock lock(mutex_);
-    if (!notFull_.wait_until(lock, deadline,
-                             [this] { return size_ < capacity_ || closed_; }))
-      return false;
-    if (closed_) return false;
-    enqueueLocked(std::move(item), tenant);
-    lock.unlock();
     notEmpty_.notify_one();
     return true;
   }
@@ -149,8 +117,6 @@ class FairShareQueue {
     T item = std::move(queues_[*tenant].front());
     queues_[*tenant].pop_front();
     --size_;
-    lock.unlock();
-    notFull_.notify_one();
     return item;
   }
 
@@ -161,11 +127,10 @@ class FairShareQueue {
       std::lock_guard lock(mutex_);
       closed_ = true;
     }
-    notFull_.notify_all();
     notEmpty_.notify_all();
   }
 
-  /// Total depth across tenants — the routing/backpressure signal.
+  /// Total depth across tenants.
   std::size_t size() const {
     std::lock_guard lock(mutex_);
     return size_;
@@ -177,23 +142,8 @@ class FairShareQueue {
     return queues_.at(tenant).size();
   }
 
-  std::size_t capacity() const noexcept { return capacity_; }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
  private:
-  void enqueueLocked(T item, TenantId tenant) {
-    queues_.at(tenant).push_back(std::move(item));
-    scheduler_.onEnqueue(tenant);
-    ++size_;
-  }
-
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable notFull_;
   std::condition_variable notEmpty_;
   FairShareScheduler scheduler_;
   std::vector<std::deque<T>> queues_;

@@ -52,8 +52,8 @@ bool SearchService::handle(net::QueryRequest&& request,
         static_cast<double>(
             std::min(request.deadlineMicros, config_.maxDeadlineMicros)) *
         1e-6;
-  // Transport threads never sleep on a queue slot: full queues degrade
-  // the result and surface as read-side backpressure instead.
+  // Transport threads never sleep on an execution slot: a query finding
+  // none is rejected and surfaces as read-side backpressure instead.
   options.waitForQueue = false;
 
   served_.fetch_add(1, std::memory_order_relaxed);

@@ -7,7 +7,7 @@
 // the client's deadline budget onto the broker's deadline, and submits
 // asynchronously — the broker's completion writes the RESULT frame back
 // through the ResponseTicket from whichever thread finished the query.
-// No thread blocks per in-flight RPC; the submit return value (queue
+// No thread blocks per in-flight RPC; the submit return value (slot
 // backpressure) propagates to the server, which pauses reading that
 // connection until responses drain.
 #pragma once
@@ -35,7 +35,7 @@ class SearchService {
   SearchService(QueryBroker& broker, SearchServiceConfig config = {});
 
   /// The net::Server handler. Returns false (pause reading) when the
-  /// broker reported queue backpressure for this submit.
+  /// broker reported backpressure for this submit.
   bool handle(net::QueryRequest&& request,
               const std::shared_ptr<net::ResponseTicket>& ticket);
 

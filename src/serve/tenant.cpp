@@ -106,7 +106,11 @@ Admission TokenBank::acquire(
   const auto need = static_cast<double>(hostsPerPartition.size());
   std::lock_guard lock(mutex_);
   const double heldAfter = static_cast<double>(held_[tenant]) + need;
-  if (heldAfter > cap_[tenant] + 1e-9) return Admission::kRejectedOverShare;
+  // A cap covering the whole bank can only bind once the bank is dry,
+  // which is scarcity, not share: the implicit tenant is never over-share.
+  if (cap_[tenant] < static_cast<double>(totalTokens_) &&
+      heldAfter > cap_[tenant] + 1e-9)
+    return Admission::kRejectedOverShare;
   // Bank-wide scarcity is physical exhaustion whatever the lane — an
   // over-share verdict is reserved for limits another tenant's entitlement
   // imposes.
@@ -123,8 +127,8 @@ Admission TokenBank::acquire(
       return Admission::kRejectedOverShare;
   }
   // Greedy binding: each partition to the hosting machine with the most
-  // free tokens — least-loaded token dispatch (ties to the lower machine
-  // id, matching the router's documented determinism).
+  // free tokens — least-loaded token dispatch (ties to the first-listed
+  // host, so routing is deterministic).
   std::vector<std::uint32_t> chosen(hostsPerPartition.size());
   for (std::size_t g = 0; g < hostsPerPartition.size(); ++g) {
     const auto& hosts = hostsPerPartition[g];
@@ -155,10 +159,35 @@ Admission TokenBank::acquire(
 }
 
 void TokenBank::release(TenantId tenant, MachineId machine) {
-  std::lock_guard lock(mutex_);
-  ++free_[machine];
-  ++totalFree_;
-  if (held_[tenant] > 0) --held_[tenant];
+  {
+    std::lock_guard lock(mutex_);
+    ++free_[machine];
+    ++totalFree_;
+    if (held_[tenant] > 0) --held_[tenant];
+    releases_.fetch_add(1, std::memory_order_release);
+  }
+  released_.notify_all();  // no syscall while nobody waits
+}
+
+bool TokenBank::awaitRelease(std::uint64_t epoch,
+                             std::optional<Clock::time_point> deadline) {
+  if (deadline && Clock::now() >= *deadline) return false;
+  std::unique_lock lock(mutex_);
+  const auto woken = [&] {
+    return closed_ || releases_.load(std::memory_order_relaxed) != epoch;
+  };
+  if (!woken() && totalFree_ == totalTokens_) return false;
+  const bool released = deadline ? released_.wait_until(lock, *deadline, woken)
+                                 : (released_.wait(lock, woken), true);
+  return released && !closed_;
+}
+
+void TokenBank::close() {
+  {
+    std::lock_guard lock(mutex_);
+    closed_ = true;
+  }
+  released_.notify_all();
 }
 
 std::uint64_t TokenBank::freeTokens() const {

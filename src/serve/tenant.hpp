@@ -16,7 +16,7 @@
 // Token model (per "Dynamic Load Balancing with Tokens", Comte 2018, on
 // the balanced-fairness foundation of Bonald & Comte 2018): each machine
 // holds a fixed number of tokens representing execution slots (worker
-// threads times a queueing allowance). A query needs one token per
+// threads plus a queueing allowance). A query needs one token per
 // partition task; tokens are acquired greedily — each task binds to the
 // hosting replica whose machine has the most free tokens, the
 // least-loaded/token dispatch whose stationary behaviour approximates
@@ -34,9 +34,13 @@
 //
 // A tenant over its share is therefore throttled *at admission* — the
 // rejection is immediate and cheap — instead of poisoning the shared
-// per-machine queues and being shed worker-side after burning a slot.
+// per-machine queues and being shed worker-side after burning a slot. A
+// query short of free slots may wait for a release instead (backpressure).
 #pragma once
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -96,8 +100,6 @@ struct FairShareTreeSpec {
 /// registration order; references stay valid for the registry's lifetime.
 class TenantRegistry {
  public:
-  /// Empty registry (count() == 0): the broker's single-implicit-tenant
-  /// legacy mode.
   TenantRegistry() = default;
   /// Validates and indexes `specs`: unique non-empty names, positive
   /// finite weights, guarantees in [0,1] summing to <= 1, burst limits
@@ -147,6 +149,8 @@ using ReplicaHost = std::pair<MachineId, ShardId>;
 /// operations bracket real index scans, contention is noise).
 class TokenBank {
  public:
+  using Clock = std::chrono::steady_clock;
+
   /// `machineSlots[m]` tokens on machine m. Entitlements and caps are
   /// precomputed from `registry` against the summed total.
   TokenBank(std::vector<std::uint32_t> machineSlots,
@@ -165,6 +169,20 @@ class TokenBank {
   /// Returns the token a task acquired on `machine` for `tenant`.
   void release(TenantId tenant, MachineId machine);
 
+  /// Count of release() calls; read before an acquire that may fail, so
+  /// awaitRelease cannot miss a release landing in between.
+  std::uint64_t releaseEpoch() const noexcept {
+    return releases_.load(std::memory_order_acquire);
+  }
+  /// Blocks until a release() after `epoch` (true: retry the acquire).
+  /// False — give up — at `deadline` (refused up front once passed), after
+  /// close(), or at once when no token is held: an acquire that failed
+  /// against an idle bank can never bind.
+  bool awaitRelease(std::uint64_t epoch,
+                    std::optional<Clock::time_point> deadline = std::nullopt);
+  /// Wakes every waiter; later waits fail at once (shutdown).
+  void close();
+
   std::uint64_t totalTokens() const noexcept { return totalTokens_; }
   std::uint64_t freeTokens() const;
   std::uint64_t freeOn(MachineId machine) const;
@@ -174,6 +192,9 @@ class TokenBank {
 
  private:
   mutable std::mutex mutex_;
+  std::condition_variable released_;
+  std::atomic<std::uint64_t> releases_{0};  ///< written under mutex_
+  bool closed_ = false;
   std::vector<std::uint32_t> free_;       ///< per machine
   std::vector<std::uint64_t> held_;       ///< per tenant
   std::vector<double> entitled_;          ///< per tenant, in tokens

@@ -327,6 +327,8 @@ void runFaultSweepCase(std::uint64_t seed) {
     expectOracle(index, broker.execute(q), q, serveConfig.topK,
                  serveConfig.bm25);
   broker.shutdown();
+  // Tokens are conserved across the cutovers: the drain returned every one.
+  EXPECT_EQ(broker.tokenBank()->freeTokens(), broker.tokenBank()->totalTokens());
 }
 
 TEST(LiveMigrationFaultSweep, CrashAndCopyFailuresLeaveATrustworthyCluster) {

@@ -1,6 +1,6 @@
 // Regression suite for the async submit() contract: the completion
 // callback fires exactly once per call on *every* path — cache hit,
-// normal completion, deadline expiry, and forced queue rejection. The
+// normal completion, deadline expiry, and forced slot rejection. The
 // transport layer (net::Server) keys per-connection in-flight accounting
 // on this; a double or missing callback corrupts request matching.
 
@@ -96,9 +96,10 @@ class CompletionLedger {
 };
 
 TEST(BrokerSubmit, CompletionFiresExactlyOnceUnderForcedRejection) {
-  // One slow machine with a one-slot queue and non-blocking pushes: most
-  // submits lose the tryPush race, exercising the degraded path where
-  // the submitting thread itself must deliver the completion.
+  // One slow machine with two execution slots (one worker, a one-task
+  // queue) and non-waiting submits: most submits find no free slot,
+  // exercising the rejection path where the submitting thread itself must
+  // deliver the completion.
   const PartitionedIndex index = tinyIndex(2);
   const Instance instance = tinyInstance(2, 1);
   ServeConfig config;
@@ -121,8 +122,8 @@ TEST(BrokerSubmit, CompletionFiresExactlyOnceUnderForcedRejection) {
   // A slow double-fire from the worker or timer thread would land here.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ledger.expectExactlyOnce();
-  // The forcing worked: with a one-slot queue and 2ms service time the
-  // burst cannot all fit. (If this ever flakes the setup lost its bite.)
+  // The forcing worked: with two slots and 2ms service time the burst
+  // cannot all fit. (If this ever flakes the setup lost its bite.)
   EXPECT_GT(rejected, 0u);
   broker.shutdown();
 }

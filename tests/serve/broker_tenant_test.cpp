@@ -1,5 +1,5 @@
-// Tenant-mode QueryBroker end-to-end: token admission, per-tenant
-// accounting, missed-push bookkeeping, and the /debug/tenants JSON.
+// Multi-tenant QueryBroker end-to-end: token admission, per-tenant
+// accounting, waiting for a slot, and the /debug/tenants JSON.
 #include "serve/broker.hpp"
 
 #include <gtest/gtest.h>
@@ -74,10 +74,10 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
   config.tenants = {tenant("interactive", 4.0, 0.5, 1.0),
                     tenant("batch", 1.0, 0.1, 2.0)};
   // Every query needs one token per partition (4): keep each tenant's cap
-  // comfortably above that so admission is not the subject here.
-  config.tokensPerWorker = 8.0;
+  // comfortably above that so admission is not the subject here (8 tokens
+  // per 1-worker machine).
+  config.queueCapacity = 7;
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
-  EXPECT_TRUE(broker.tenantMode());
 
   for (int i = 0; i < 6; ++i) {
     const QueryResult r = broker.execute(query({static_cast<TermId>(i)}), 0);
@@ -91,7 +91,7 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
     EXPECT_TRUE(r.complete);
     EXPECT_EQ(r.tenant, 1u);
   }
-  // Results stay oracle-identical in tenant mode.
+  // Results stay oracle-identical with several tenants.
   const auto q = query({25, 3, 110});
   const QueryResult result = broker.execute(q, 1);
   const auto reference = index.searchTopK(q, config.topK, config.bm25);
@@ -160,44 +160,50 @@ TEST(QueryBrokerTenants, OverShareTenantIsRejectedAtAdmissionNotShed) {
 
 TEST(QueryBrokerTenants, MissedPushesDegradeOncePerTenantAndReturnTokens) {
   obs::SloRegistry::global().reset();
-  // One machine, one worker, tiny queue, slow paced service, short
-  // deadline: later partitions cannot be pushed before the deadline, so
-  // the client must account them as missed exactly once, come back with a
-  // degraded result instead of hanging, and every token must find its way
-  // home (client-side for missed pushes, worker-side for the rest).
+  // One machine, one worker, four tokens: a query without a deadline holds
+  // every token through 4 x 50 ms of paced service, so a second query with
+  // an 80 ms deadline waits for a slot, gives up at its deadline instead of
+  // hanging, is counted exactly once, and every token comes home.
   const PartitionedIndex index = smallIndex(4);
   const Instance instance = hostingInstance(4, 1);
   ServeConfig config;
-  config.queueCapacity = 1;
-  config.deadlineSeconds = 0.08;
+  config.queueCapacity = 3;
   config.serviceFixedSeconds = 0.05;
   config.tenants = {tenant("only", 1.0, 1.0, 1.0)};
-  config.tokensPerWorker = 16.0;  // admission is not the constraint here
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
 
+  std::atomic<bool> firstDone{false};
+  SubmitOptions holder;
+  holder.deadlineSeconds = 0.0;
+  broker.submit(query({3}), holder, [&](QueryResult r) {
+    EXPECT_TRUE(r.complete);
+    firstDone.store(true);
+  });
+  SubmitOptions waiter;
+  waiter.deadlineSeconds = 0.08;
   const auto t0 = std::chrono::steady_clock::now();
-  const QueryResult result = broker.execute(query({1, 2}), 0);
+  QueryResult result;
+  EXPECT_FALSE(broker.submit(query({1, 2}), waiter,
+                             [&](QueryResult r) { result = std::move(r); }));
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(result.complete);
-  EXPECT_FALSE(result.rejected);  // admitted, then degraded by backpressure
-  EXPECT_LT(result.partitionsAnswered, 4u);
-  // The client returned at its deadline, not after 4 x 50 ms of service:
-  // remaining reached zero (missed pushes counted once, drained tasks
-  // delivered or shed) rather than deadlocking.
+  EXPECT_TRUE(result.rejected);  // never admitted: no slot by the deadline
+  EXPECT_EQ(result.partitionsAnswered, 0u);
+  // The client returned at its deadline, not after the first query's
+  // 200 ms of service.
+  EXPECT_GE(wall.count(), 0.07);
   EXPECT_LT(wall.count(), 1.0);
 
-  awaitAllTokensFree(broker);
-  std::uint64_t expired = 0, queries = 0;
-  for (int spins = 0; expired == 0 && spins < 100; ++spins) {
-    const ObservedLoad load = broker.takeObservedLoad();
-    ASSERT_EQ(load.tenants.size(), 1u);
-    expired += load.tenants[0].expiredQueries;
-    queries += load.tenants[0].queries;
+  for (int spins = 0; !firstDone.load() && spins < 500; ++spins)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(expired, 1u);
-  EXPECT_EQ(queries, 1u);
+  EXPECT_TRUE(firstDone.load());
+  awaitAllTokensFree(broker);
+  const ObservedLoad load = broker.takeObservedLoad();
+  ASSERT_EQ(load.tenants.size(), 1u);
+  EXPECT_EQ(load.tenants[0].rejectedNoToken, 1u);
+  EXPECT_EQ(load.tenants[0].expiredQueries, 0u);
+  EXPECT_EQ(load.tenants[0].queries, 2u);
   obs::SloRegistry::global().reset();
 }
 
@@ -237,7 +243,7 @@ TEST(QueryBrokerTenants, TenantsJsonReportsSpecTokensAndHeat) {
   const Instance instance = hostingInstance(2, 2);
   ServeConfig config;
   config.workersPerMachine = 2;
-  config.tokensPerWorker = 3.0;
+  config.queueCapacity = 4;
   config.tenants = {tenant("interactive", 4.0, 0.5, 1.0),
                     tenant("batch", 1.0, 0.0, 2.0)};
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
@@ -246,8 +252,7 @@ TEST(QueryBrokerTenants, TenantsJsonReportsSpecTokensAndHeat) {
   awaitAllTokensFree(broker);
 
   const auto json = MiniJson::flatten(broker.tenantsJson());
-  EXPECT_EQ(json.at("tenant_mode"), "true");
-  EXPECT_EQ(json.at("total_tokens"), "12");  // 2 machines x 2 workers x 3
+  EXPECT_EQ(json.at("total_tokens"), "12");  // 2 machines x (2 workers + 4)
   EXPECT_EQ(json.at("free_tokens"), "12");
   ASSERT_EQ(json.at("tenants/#size"), "2");
   EXPECT_EQ(json.at("tenants/0/name"), "interactive");
@@ -259,11 +264,19 @@ TEST(QueryBrokerTenants, TenantsJsonReportsSpecTokensAndHeat) {
   EXPECT_EQ(json.at("tenants/0/slo/total"), "5");
   EXPECT_EQ(json.at("tenants/0/slo/errors"), "0");
 
-  // Legacy brokers advertise they have nothing tenant-shaped to show.
-  QueryBroker legacy(instance, instance.initialAssignment(), index, {});
-  const auto legacyJson = MiniJson::flatten(legacy.tenantsJson());
-  EXPECT_EQ(legacyJson.at("tenant_mode"), "false");
-  EXPECT_EQ(legacy.tokenBank(), nullptr);
+  // A default broker reports its implicit tenant, which owns every token:
+  // 2 machines x (1 worker + 1024 queued).
+  QueryBroker plain(instance, instance.initialAssignment(), index, {});
+  plain.execute(query({7}));
+  awaitAllTokensFree(plain);
+  const auto plainJson = MiniJson::flatten(plain.tenantsJson());
+  EXPECT_EQ(plainJson.at("total_tokens"), "2050");
+  EXPECT_EQ(plainJson.at("free_tokens"), "2050");
+  ASSERT_EQ(plainJson.at("tenants/#size"), "1");
+  EXPECT_EQ(plainJson.at("tenants/0/name"), "default");
+  EXPECT_EQ(plainJson.at("tenants/0/queries"), "1");
+  EXPECT_EQ(plainJson.at("tenants/0/cap_tokens"), "2050");
+  EXPECT_EQ(plainJson.count("tenants/0/slo_class"), 0u);  // no sloClass set
   obs::SloRegistry::global().reset();
 }
 

@@ -250,6 +250,8 @@ TEST(QueryBroker, CleanShutdownWithQueriesInFlight) {
   for (std::thread& t : clients) t.join();
   EXPECT_GT(cancelled.load(), 0);
   EXPECT_TRUE(broker.execute(query({1})).cancelled);
+  // Tokens are conserved: the drain returned every one.
+  EXPECT_EQ(broker.tokenBank()->freeTokens(), broker.tokenBank()->totalTokens());
 }
 
 TEST(QueryBroker, TracingProducesSpanTreesForKeptQueries) {
@@ -533,6 +535,12 @@ TEST(QueryBroker, SloClassRecordsEveryQuery) {
   EXPECT_EQ(snap.errors, 0u);
   EXPECT_EQ(snap.latencyBreaches, 0u);
   EXPECT_GT(snap.p99, 0.0);
+  // sloClass is the implicit tenant's window; explicit tenants name their
+  // own, so setting both is a configuration error.
+  ServeConfig both = config;
+  both.tenants.emplace_back().name = "a";
+  EXPECT_THROW(QueryBroker(instance, instance.initialAssignment(), index, both),
+               std::invalid_argument);
   obs::SloRegistry::global().reset();
 }
 

@@ -96,7 +96,7 @@ TEST(FairShareScheduler, ValidatesTreeAndTransitions) {
 }
 
 TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
-  FairShareQueue<int> queue(16, onePool({2.0, 1.0}));
+  FairShareQueue<int> queue(onePool({2.0, 1.0}));
   for (const int v : {10, 11, 12, 13}) ASSERT_TRUE(queue.push(v, 0));
   for (const int v : {20, 21}) ASSERT_TRUE(queue.push(v, 1));
   EXPECT_EQ(queue.size(), 6u);
@@ -111,31 +111,8 @@ TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
   }
 }
 
-TEST(FairShareQueue, PushUntilRejectsAlreadyExpiredDeadline) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
-  const auto past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  // Room available, deadline already gone: the push must refuse instead of
-  // enqueueing work the worker is guaranteed to shed.
-  EXPECT_FALSE(queue.pushUntil(1, 0, past));
-  EXPECT_EQ(queue.size(), 0u);
-  const auto future = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  EXPECT_TRUE(queue.pushUntil(2, 0, future));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(FairShareQueue, PushUntilTimesOutWhenFull) {
-  FairShareQueue<int> queue(1, onePool({1.0}));
-  ASSERT_TRUE(queue.push(1, 0));
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.pushUntil(
-      2, 0, start + std::chrono::milliseconds(30)));
-  EXPECT_GE(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(25));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
 TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
-  FairShareQueue<int> queue(8, onePool({1.0, 1.0}));
+  FairShareQueue<int> queue(onePool({1.0, 1.0}));
   ASSERT_TRUE(queue.push(1, 0));
   ASSERT_TRUE(queue.push(2, 1));
   queue.close();
@@ -146,7 +123,7 @@ TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
 }
 
 TEST(FairShareQueue, BlockedPopWakesOnPush) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
+  FairShareQueue<int> queue(onePool({1.0}));
   std::optional<int> got;
   std::thread consumer([&] { got = queue.pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -156,31 +133,8 @@ TEST(FairShareQueue, BlockedPopWakesOnPush) {
   EXPECT_EQ(*got, 42);
 }
 
-TEST(FairShareQueue, ZeroCapacityIsBumpedToOne) {
-  FairShareQueue<int> queue(0, onePool({1.0}));
-  EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_TRUE(queue.push(7, 0));
-  EXPECT_EQ(queue.pop(), 7);
-}
-
-TEST(FairShareQueue, PushBlocksWhenFullUntilPop) {
-  FairShareQueue<int> queue(1, onePool({1.0}));
-  EXPECT_TRUE(queue.push(1, 0));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(queue.push(2, 0));
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // backpressured on the full queue
-  EXPECT_EQ(queue.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.pop(), 2);
-}
-
 TEST(FairShareQueue, CloseWakesBlockedConsumer) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
+  FairShareQueue<int> queue(onePool({1.0}));
   std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   queue.close();
@@ -191,7 +145,7 @@ TEST(FairShareQueue, ConcurrentProducersConsumersDeliverEverything) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 500;
-  FairShareQueue<int> queue(16, onePool({1.0, 2.0}));
+  FairShareQueue<int> queue(onePool({1.0, 2.0}));
   std::atomic<long> sum{0};
   std::atomic<int> received{0};
   std::vector<std::thread> threads;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace resex::serve {
@@ -149,6 +152,91 @@ TEST(TokenBank, BurstLaneCannotInvadeUnusedGuarantees) {
   EXPECT_EQ(bank.acquire(1, hosts, picks), Admission::kRejectedOverShare);
   bank.release(1, 0);
   ASSERT_EQ(bank.acquire(1, hosts, picks), Admission::kAdmitted);
+}
+
+TEST(TokenBank, WholeBankCapIsNeverOverShare) {
+  // The implicit tenant's spec: guarantee and cap are every token, so a
+  // dry bank is scarcity (no-token), never a share verdict.
+  const TenantRegistry registry({spec("default", 1.0, 1.0, 1.0)});
+  TokenBank bank({2}, registry);
+  const std::vector<std::vector<ReplicaHost>> hosts = {{{0, 0}}, {{0, 1}}};
+  std::vector<std::uint32_t> picks;
+  ASSERT_EQ(bank.acquire(0, hosts, picks), Admission::kAdmitted);
+  EXPECT_EQ(bank.acquire(0, hosts, picks), Admission::kRejectedNoToken);
+}
+
+/// A one-token bank with its token held, so every acquire is no-token.
+struct DryBank {
+  TenantRegistry registry{{spec("t", 1.0, 1.0)}};
+  TokenBank bank{{1}, registry};
+  std::vector<std::vector<ReplicaHost>> hosts = {{{0, 0}}};
+  std::vector<std::uint32_t> picks;
+  DryBank() { EXPECT_EQ(bank.acquire(0, hosts, picks), Admission::kAdmitted); }
+};
+
+TEST(TokenBank, AwaitRefusesAnAlreadyExpiredDeadline) {
+  DryBank dry;
+  const std::uint64_t epoch = dry.bank.releaseEpoch();
+  dry.bank.release(0, 0);  // a slot is free again...
+  // ...but the deadline is gone: waiting is refused up front rather than
+  // admitting work the worker is guaranteed to shed.
+  const auto past = TokenBank::Clock::now() - std::chrono::milliseconds(1);
+  EXPECT_FALSE(dry.bank.awaitRelease(epoch, past));
+  const auto future = TokenBank::Clock::now() + std::chrono::seconds(5);
+  EXPECT_TRUE(dry.bank.awaitRelease(epoch, future));  // release already seen
+}
+
+TEST(TokenBank, AwaitTimesOutAtTheDeadline) {
+  DryBank dry;
+  const std::uint64_t epoch = dry.bank.releaseEpoch();
+  ASSERT_EQ(dry.bank.acquire(0, dry.hosts, dry.picks), Admission::kRejectedNoToken);
+  const auto start = TokenBank::Clock::now();
+  EXPECT_FALSE(dry.bank.awaitRelease(epoch, start + std::chrono::milliseconds(30)));
+  EXPECT_GE(TokenBank::Clock::now() - start, std::chrono::milliseconds(25));
+  EXPECT_EQ(dry.bank.freeTokens(), 0u);
+}
+
+TEST(TokenBank, BlockedAcquireWakesOnRelease) {
+  DryBank dry;
+  std::atomic<bool> admitted{false};
+  std::thread waiter([&] {
+    std::vector<std::uint32_t> picks;
+    for (;;) {
+      const std::uint64_t epoch = dry.bank.releaseEpoch();
+      if (dry.bank.acquire(0, dry.hosts, picks) == Admission::kAdmitted) break;
+      ASSERT_TRUE(dry.bank.awaitRelease(epoch));
+    }
+    admitted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(admitted.load());  // backpressured on the dry bank
+  dry.bank.release(0, 0);
+  waiter.join();
+  EXPECT_TRUE(admitted.load());
+  EXPECT_EQ(dry.bank.heldBy(0), 1u);
+}
+
+TEST(TokenBank, CloseWakesWaiters) {
+  DryBank dry;
+  std::thread waiter([&] {
+    EXPECT_FALSE(dry.bank.awaitRelease(dry.bank.releaseEpoch()));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  dry.bank.close();
+  waiter.join();
+  EXPECT_FALSE(dry.bank.awaitRelease(dry.bank.releaseEpoch()));  // stays closed
+}
+
+TEST(TokenBank, AwaitGivesUpWhenNothingIsHeld) {
+  // Two partitions pinned to a one-token machine can never bind; with no
+  // token held anywhere no release will come, so the wait ends at once.
+  const TenantRegistry registry({spec("t", 1.0, 1.0)});
+  TokenBank bank({1}, registry);
+  const std::vector<std::vector<ReplicaHost>> narrow = {{{0, 0}}, {{0, 1}}};
+  std::vector<std::uint32_t> picks;
+  const std::uint64_t epoch = bank.releaseEpoch();
+  ASSERT_EQ(bank.acquire(0, narrow, picks), Admission::kRejectedNoToken);
+  EXPECT_FALSE(bank.awaitRelease(epoch));
 }
 
 TEST(TokenBank, AdmissionNames) {
