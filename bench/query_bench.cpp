@@ -9,14 +9,14 @@
 //   * Decode throughput: postings/second for full-list decode, old flat
 //     VByte vs the bit-packed block codec.
 //   * End-to-end query throughput: QPS over one shared Zipf trace for the
-//     old TAAT kernel vs block-max DAAT (and the library TAAT / MaxScore /
-//     WAND paths for context). DAAT runs through a caller-owned
+//     old kernel vs the serving kernel (the exhaustive block-decoding scan
+//     every broker worker runs), with the library's MaxScore and WAND
+//     paths for context. The serving kernel runs through a caller-owned
 //     QueryScratch, so the measured loop is allocation-free.
-//   * Skipping: blocks decoded vs skipped-undecoded, heap-threshold
-//     prunes, and the fraction of postings the DAAT kernel actually
-//     scanned relative to the exhaustive baseline.
+//   * Work: blocks decoded and postings scanned by the serving kernel
+//     against the old kernel's exhaustive count.
 //
-// Every DAAT result is checked for exact equivalence (identical ids,
+// Every serving result is checked for exact equivalence (identical ids,
 // scores within 1e-9) against the old kernel. Emits BENCH_query.json;
 // --check exits nonzero unless disjunctive throughput improved by the
 // gate factor (default 2x) AND every query matched.
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
       .define("topk", "10", "results per query")
       .define("stopwords", "20", "head terms excluded from queries")
       .define("reps", "3", "timed repetitions of the trace per kernel")
-      .define("min-speedup", "2.0", "--check: required old->DAAT QPS factor")
+      .define("min-speedup", "2.0", "--check: required old->serving QPS factor")
       .define("simd-min-speedup", "2.0",
               "--check: required scalar->SIMD full-block decode factor "
               "(skipped when the host has no SIMD backend)")
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   const InvertedIndex index(docConfig.termCount, documents);
   const double buildSeconds = buildTimer.seconds();
   const OldIndex old = buildOldIndex(index);
-  std::printf("== query_bench: block-max DAAT kernel vs seed flat-VByte TAAT ==\n");
+  std::printf("== query_bench: serving kernel vs seed flat-VByte TAAT ==\n");
   std::printf("%u docs, %u terms, %zu postings | old %.2f MB flat VByte, "
               "new %.2f MB block codec (built in %.2fs)\n\n",
               docConfig.docCount, docConfig.termCount, index.totalPostings(),
@@ -282,33 +282,22 @@ int main(int argc, char** argv) {
   const Bm25Params params;
   const auto reps = static_cast<int>(flags.integer("reps"));
 
-  // -- Equivalence + skipping stats (untimed pass) ----------------------
+  // -- Equivalence + work stats (untimed pass) --------------------------
   QueryScratch scratch;
-  ExecStats daatStats;
+  ExecStats servingStats;
   std::size_t oldScanned = 0;
   std::size_t mismatches = 0;
   for (const auto& query : trace) {
     const auto reference = oldTopK(old, index, query, k, params, &oldScanned);
-    const auto fast = topKDisjunctiveInto(index, query, k, params, scratch, &daatStats);
+    const auto fast =
+        topKDisjunctiveInto(index, query, k, params, scratch, &servingStats);
     if (!sameResults(fast, reference)) ++mismatches;
   }
-  const double skipRatio =
-      daatStats.blocksDecoded + daatStats.blocksSkipped > 0
-          ? static_cast<double>(daatStats.blocksSkipped) /
-                static_cast<double>(daatStats.blocksDecoded + daatStats.blocksSkipped)
-          : 0.0;
-  const double scannedFraction =
-      oldScanned > 0 ? static_cast<double>(daatStats.postingsScanned) /
-                           static_cast<double>(oldScanned)
-                     : 1.0;
-  std::printf("skip    | %llu blocks decoded, %llu skipped undecoded "
-              "(%.1f%%), %llu heap prunes | DAAT scanned %.1f%% of the "
-              "exhaustive postings\n",
-              static_cast<unsigned long long>(daatStats.blocksDecoded),
-              static_cast<unsigned long long>(daatStats.blocksSkipped),
-              skipRatio * 100.0,
-              static_cast<unsigned long long>(daatStats.heapThresholdPrunes),
-              scannedFraction * 100.0);
+  std::printf("work    | serving kernel decoded %llu blocks, scanned %llu "
+              "postings (old kernel %llu)\n",
+              static_cast<unsigned long long>(servingStats.blocksDecoded),
+              static_cast<unsigned long long>(servingStats.postingsScanned),
+              static_cast<unsigned long long>(oldScanned));
   std::printf("equiv   | %zu/%zu queries identical to the seed kernel\n",
               queryCount - mismatches, queryCount);
 
@@ -325,12 +314,8 @@ int main(int argc, char** argv) {
     const auto result = oldTopK(old, index, q, k, params, nullptr);
     if (!result.empty()) sink += result[0].score;
   });
-  const double daatQps = timeTrace([&](const std::vector<TermId>& q) {
+  const double servingQps = timeTrace([&](const std::vector<TermId>& q) {
     const auto result = topKDisjunctiveInto(index, q, k, params, scratch);
-    if (!result.empty()) sink += result[0].score;
-  });
-  const double taatQps = timeTrace([&](const std::vector<TermId>& q) {
-    const auto result = topKDisjunctiveTaat(index, q, k, params);
     if (!result.empty()) sink += result[0].score;
   });
   const double maxscoreQps = timeTrace([&](const std::vector<TermId>& q) {
@@ -341,10 +326,10 @@ int main(int argc, char** argv) {
     const auto result = topKWand(index, q, k, params);
     if (!result.empty()) sink += result[0].score;
   });
-  const double speedup = daatQps / oldQps;
-  std::printf("qps     | old %.0f, DAAT %.0f (%.2fx), taat %.0f, "
-              "maxscore %.0f, wand %.0f [sink %.3f]\n",
-              oldQps, daatQps, speedup, taatQps, maxscoreQps, wandQps, sink);
+  const double speedup = servingQps / oldQps;
+  std::printf("qps     | old %.0f, serving %.0f (%.2fx), maxscore %.0f, "
+              "wand %.0f [sink %.3f]\n",
+              oldQps, servingQps, speedup, maxscoreQps, wandQps, sink);
 
   // -- Segment: write to disk, reopen cold via mmap, serve warm ---------
   const std::string segPath =
@@ -391,7 +376,7 @@ int main(int argc, char** argv) {
               "cold pass %.0f qps, warm %.0f qps (%.2fx of RAM) | %zu/%zu "
               "identical to in-RAM\n\n",
               static_cast<double>(segBytes) / 1e6, segWriteSeconds,
-              segLoadSeconds, segColdQps, segWarmQps, segWarmQps / daatQps,
+              segLoadSeconds, segColdQps, segWarmQps, segWarmQps / servingQps,
               queryCount - segMismatches, queryCount);
   std::filesystem::remove(segPath);
 
@@ -429,7 +414,7 @@ int main(int argc, char** argv) {
   json.field("cold_load_seconds", segLoadSeconds);
   json.field("cold_pass_qps", segColdQps);
   json.field("warm_qps", segWarmQps);
-  json.field("warm_fraction_of_ram", segWarmQps / daatQps);
+  json.field("warm_fraction_of_ram", segWarmQps / servingQps);
   json.field("mismatches", static_cast<std::uint64_t>(segMismatches));
   json.field("identical", segIdentical);
   json.endObject();
@@ -437,20 +422,15 @@ int main(int argc, char** argv) {
   json.field("queries", static_cast<std::uint64_t>(queryCount));
   json.field("topk", static_cast<std::uint64_t>(k));
   json.field("old_qps", oldQps);
-  json.field("daat_qps", daatQps);
-  json.field("taat_qps", taatQps);
+  json.field("serving_qps", servingQps);
   json.field("maxscore_qps", maxscoreQps);
   json.field("wand_qps", wandQps);
   json.field("speedup_disjunctive", speedup);
   json.endObject();
-  json.key("skipping").beginObject();
-  json.field("blocks_decoded", daatStats.blocksDecoded);
-  json.field("blocks_skipped", daatStats.blocksSkipped);
-  json.field("skip_ratio", skipRatio);
-  json.field("heap_threshold_prunes", daatStats.heapThresholdPrunes);
-  json.field("postings_scanned_daat", daatStats.postingsScanned);
-  json.field("postings_scanned_exhaustive", static_cast<std::uint64_t>(oldScanned));
-  json.field("scanned_fraction", scannedFraction);
+  json.key("work").beginObject();
+  json.field("blocks_decoded", servingStats.blocksDecoded);
+  json.field("postings_scanned_serving", servingStats.postingsScanned);
+  json.field("postings_scanned_old", static_cast<std::uint64_t>(oldScanned));
   json.endObject();
   json.key("equivalence").beginObject();
   json.field("queries_checked", static_cast<std::uint64_t>(queryCount));

@@ -262,10 +262,10 @@ int main(int argc, char** argv) {
   // With pacing a shard's per-query service time is exactly
   //   fixed + perPosting * (postings the kernel scans there per query),
   // so the demand the solver plans on is *measured* by replaying the exact
-  // trace through the block-max DAAT kernel per shard (deterministic: the
+  // trace through the serving kernel per shard (deterministic: the
   // broker's workers run the same kernel on the same inputs and scan the
-  // same postings). Summing document frequencies would overstate demand —
-  // the kernel skips most blocks — and skew planned vs measured load.
+  // same postings), so planned and measured load agree whatever the
+  // kernel skips.
   // Two terms per query, drawn Zipf over the vocabulary *below* the pruned
   // stopword head (the corpus's top ranks have posting lists so long that
   // a single head-term query would dominate every machine's service time —

@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
   // -- Corpus, skewed partitioned index, shared trace ----------------------
   // Same recipe as serve_bench: Zipf term draws below a pruned stopword
   // head, per-shard service demand measured by replaying the exact trace
-  // through the block-max kernel (the workers will scan the same postings).
+  // through the serving kernel (the workers will scan the same postings).
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
   docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));

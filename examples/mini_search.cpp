@@ -141,12 +141,8 @@ void serveDemo(const resex::PartitionedIndex& index,
               load.throughputQps(), load.p50 * 1e3, load.p95 * 1e3, load.p99 * 1e3,
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.hits + cache.misses));
-  std::printf("query kernel: %llu blocks decoded, %llu skipped undecoded "
-              "(skip ratio %.1f%%), %llu heap-threshold prunes\n",
-              static_cast<unsigned long long>(load.blocksDecoded),
-              static_cast<unsigned long long>(load.blocksSkipped),
-              load.blockSkipRatio() * 100.0,
-              static_cast<unsigned long long>(load.heapThresholdPrunes));
+  std::printf("query kernel: %llu blocks decoded\n",
+              static_cast<unsigned long long>(load.blocksDecoded));
 }
 
 }  // namespace

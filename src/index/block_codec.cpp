@@ -145,8 +145,7 @@ void packPostingBlocks(std::span<const DocId> docs,
 
 BlockPostingList BlockPostingList::viewOf(
     std::span<const PostingBlockMeta> blocks, const std::uint8_t* payload,
-    std::size_t payloadBytes, std::size_t postingCount, std::uint32_t docCount,
-    double builtAvgDocLength, const Bm25Params& builtParams) {
+    std::size_t payloadBytes, std::size_t postingCount, std::uint32_t docCount) {
   // The planes are untrusted bytes (an mmap'd file): prove every invariant
   // the decode paths rely on before handing out a cursor-able view. Blocks
   // must tile the posting count, doc ranges must be strictly increasing
@@ -218,23 +217,18 @@ BlockPostingList BlockPostingList::viewOf(
     throw std::invalid_argument(
         "BlockPostingList::viewOf: payload bytes without blocks");
 
-  return overValidated(blocks, payload, payloadBytes, postingCount,
-                       builtAvgDocLength, builtParams);
+  return overValidated(blocks, payload, payloadBytes, postingCount);
 }
 
 BlockPostingList BlockPostingList::overValidated(
     std::span<const PostingBlockMeta> blocks, const std::uint8_t* payload,
-    std::size_t payloadBytes, std::size_t postingCount,
-    double builtAvgDocLength, const Bm25Params& builtParams) noexcept {
+    std::size_t payloadBytes, std::size_t postingCount) noexcept {
   BlockPostingList list;
   list.data_ = payload;
   list.blocks_ = blocks.data();
   list.blockCount_ = blocks.size();
   list.payloadBytes_ = payloadBytes;
   list.count_ = postingCount;
-  list.builtAvgDocLength_ = builtAvgDocLength;
-  list.builtK1_ = builtParams.k1;
-  list.builtB_ = builtParams.b;
   return list;
 }
 

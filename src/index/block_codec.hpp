@@ -5,13 +5,12 @@
 // value decides), which decodes with word-at-a-time shifts — or, when the
 // host supports it, SIMD gathers (see simd_unpack.hpp) — instead of the
 // per-byte branches of VByte; the final partial block falls back to VByte.
-// Every block carries metadata the executor can act on *without decoding
+// Every block carries metadata an executor can act on *without decoding
 // the block*: first/last doc id (cursor positioning and block skipping),
 // max term frequency + min document length (an always-valid BM25 bound),
 // and the precomputed maximum BM25 contribution under the index's own
-// statistics (the tight bound used when a query scores with local stats).
-// This subsumes the former standalone BlockMaxIndex: block-max metadata is
-// now an intrinsic part of the posting list.
+// statistics. The score bounds are part of the format, not of today's
+// serving scan, which decodes every block of a query's lists.
 //
 // A list is always a zero-copy *view* over externally owned planes: the
 // payload and meta planes of a segment, whether they sit in heap buffers
@@ -68,7 +67,10 @@ struct PostingBlockMeta {
   /// Max of tf*(k1+1)/(tf+norm(len)) over the block's postings, at the
   /// statistics the list was built with. Multiply by a query idf to get a
   /// tight per-block score bound; only valid when the query scores with
-  /// the same avgDocLength and Bm25Params (see boundsExactFor()).
+  /// the same avgDocLength and Bm25Params. No executor reads it today
+  /// (the serving scan decodes every block); it stays in the format, and
+  /// segment validation still proves it, so a pruning kernel can return
+  /// without a format change.
   double maxWeight = 0.0;
 };
 
@@ -139,9 +141,7 @@ class BlockPostingList {
                                  const std::uint8_t* payload,
                                  std::size_t payloadBytes,
                                  std::size_t postingCount,
-                                 std::uint32_t docCount,
-                                 double builtAvgDocLength,
-                                 const Bm25Params& builtParams);
+                                 std::uint32_t docCount);
 
   /// The same view without validation, for planes already proven: a
   /// segment that viewOf validated at load, or planes this process
@@ -149,9 +149,7 @@ class BlockPostingList {
   static BlockPostingList overValidated(std::span<const PostingBlockMeta> blocks,
                                         const std::uint8_t* payload,
                                         std::size_t payloadBytes,
-                                        std::size_t postingCount,
-                                        double builtAvgDocLength,
-                                        const Bm25Params& builtParams) noexcept;
+                                        std::size_t postingCount) noexcept;
 
   std::size_t documentCount() const noexcept { return count_; }
   std::size_t blockCount() const noexcept { return blockCount_; }
@@ -181,25 +179,12 @@ class BlockPostingList {
     return payloadBytes_ + blockCount_ * sizeof(PostingBlockMeta);
   }
 
-  /// True when the precomputed per-block maxWeight is an exact bound for
-  /// queries scoring with these statistics.
-  bool boundsExactFor(double avgDocLength, const Bm25Params& params) const noexcept {
-    return avgDocLength == builtAvgDocLength_ && params.k1 == builtK1_ &&
-           params.b == builtB_;
-  }
-
-  double builtAvgDocLength() const noexcept { return builtAvgDocLength_; }
-  Bm25Params builtParams() const noexcept { return {builtK1_, builtB_}; }
-
  private:
   const std::uint8_t* data_ = nullptr;
   const PostingBlockMeta* blocks_ = nullptr;
   std::size_t blockCount_ = 0;
   std::size_t payloadBytes_ = 0;  // encoded bytes, excluding pad
   std::size_t count_ = 0;
-  double builtAvgDocLength_ = 0.0;
-  double builtK1_ = 0.0;
-  double builtB_ = 0.0;
 };
 
 }  // namespace resex

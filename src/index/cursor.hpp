@@ -1,14 +1,16 @@
 // Posting-list cursors and per-query scratch arenas — the zero-allocation
-// substrate of the DAAT query kernel.
+// substrate of every query executor.
 //
 // A TermCursor walks one BlockPostingList document-at-a-time but decodes
 // lazily: positioning on a block's first document and skipping past whole
 // blocks (nextGeq) only touch the block metadata; the payload is decoded
 // into a reusable CursorBuffer the first time a frequency or an intra-block
-// position is actually needed. QueryScratch owns every buffer a query
-// needs (cursor buffers, heap storage, dense accumulator), so a warmed-up
-// worker executes queries with zero heap allocation; QueryBroker workers
-// each own one, and a thread_local fallback serves the convenience APIs.
+// position is actually needed. The conjunctive path, MaxScore and WAND
+// drive cursors; the disjunctive scan decodes whole lists into a cursor
+// buffer. QueryScratch owns every buffer a query needs (cursor buffers,
+// heap storage, dense accumulator), so a warmed-up worker executes queries
+// with zero heap allocation; QueryBroker workers each own one, and a
+// thread_local fallback serves the convenience APIs.
 #pragma once
 
 #include <array>
@@ -28,21 +30,20 @@ struct CursorBuffer {
   std::array<std::uint32_t, kPostingBlockSize> freqs;
 };
 
-/// Forward iterator over one posting list with block-max metadata access.
-/// doc() is valid immediately after positioning on a block (no decode);
-/// freq() and intra-block advances force the decode.
+/// Forward iterator over one posting list. doc() is valid immediately
+/// after positioning on a block (no decode); freq() and intra-block
+/// advances force the decode.
 class TermCursor {
  public:
   /// Keeps a copy of the view; the planes it points into must outlive the
   /// cursor's use.
   void init(const BlockPostingList& list, double idf, double upperBound,
-            bool preciseBounds, CursorBuffer* buffer, ExecStats* stats) {
+            CursorBuffer* buffer, ExecStats* stats) {
     list_ = list;
     buffer_ = buffer;
     stats_ = stats;
     idf_ = idf;
     upperBound_ = upperBound;
-    precise_ = preciseBounds;
     block_ = 0;
     loadBlockFront();
   }
@@ -57,19 +58,6 @@ class TermCursor {
   std::uint32_t freq() {
     ensureDecoded();
     return buffer_->freqs[pos_];
-  }
-
-  /// Last document of the current block — the skip boundary.
-  DocId blockLastDoc() const noexcept { return meta_->lastDoc; }
-
-  /// Upper bound on this term's contribution within the current block.
-  /// Uses the precomputed build-time weight when the query scores with
-  /// the list's own statistics, else recomputes from maxTf/minDocLen
-  /// (always valid, looser under global stats with a larger avgDocLength).
-  double blockMaxScore(double avgDocLength, const Bm25Params& params) const {
-    if (precise_) return idf_ * meta_->maxWeight;
-    return bm25TermScore(idf_, meta_->maxTf, meta_->minDocLen, avgDocLength,
-                         params);
   }
 
   /// Advances one posting (decodes the current block if needed).
@@ -150,14 +138,13 @@ class TermCursor {
   std::uint32_t count_ = 0;
   std::size_t block_ = 0;
   bool decoded_ = false;
-  bool precise_ = false;
   double idf_ = 0.0;
   double upperBound_ = 0.0;
 };
 
 /// Bounded top-k min-heap over caller-owned storage. The top is the entry
 /// the next candidate must beat under the (score desc, doc asc) result
-/// order; threshold() feeds back into block pruning.
+/// order; threshold() is the score MaxScore and WAND must beat.
 class TopKHeap {
  public:
   void reset(std::vector<ScoredDoc>* storage, std::size_t k) {
@@ -226,13 +213,10 @@ class QueryScratch {
   TopKHeap heap;
   ExecStats exec;                     // reset by each executor invocation
 
-  // TAAT reference path: dense accumulator kept all-zero between queries
+  // Disjunctive scan: dense accumulator kept all-zero between queries
   // (only `touched` entries are written and cleared).
   std::vector<double> acc;
   std::vector<DocId> touched;
-  std::vector<ScoredDoc> candidates;
-  std::vector<DocId> decodeDocs;
-  std::vector<std::uint32_t> decodeFreqs;
 
  private:
   std::vector<std::unique_ptr<CursorBuffer>> buffers_;

@@ -20,20 +20,32 @@ obs::Counter& queryCounter(const char* algo) {
   return obs::MetricsRegistry::global().counter(std::string("query.algo.") + algo);
 }
 
-ScoreContext buildCursors(const InvertedIndex& index,
+namespace {
+
+/// Deduplicates `terms` into scratch.terms and resolves the scoring
+/// statistics. Repeated query terms would double their contribution;
+/// sorted order also fixes the floating-point summation order every
+/// executor scores in.
+ScoreContext prepareTerms(const InvertedIndex& index,
                           const std::vector<TermId>& terms,
-                          const Bm25Params& params, const GlobalStats* global,
-                          QueryScratch& scratch) {
+                          const GlobalStats* global, QueryScratch& scratch) {
   ScoreContext ctx;
   ctx.docCount = global ? global->documentCount : index.documentCount();
   ctx.avgLen = global ? global->avgDocLength : index.averageDocLength();
-  // Deduplicate repeated query terms (their contributions would double);
-  // sorted order also fixes the floating-point summation order, keeping
-  // DAAT scores bit-identical to the TAAT reference.
   scratch.terms.assign(terms.begin(), terms.end());
   std::sort(scratch.terms.begin(), scratch.terms.end());
   scratch.terms.erase(std::unique(scratch.terms.begin(), scratch.terms.end()),
                       scratch.terms.end());
+  return ctx;
+}
+
+}  // namespace
+
+ScoreContext buildCursors(const InvertedIndex& index,
+                          const std::vector<TermId>& terms,
+                          const Bm25Params& params, const GlobalStats* global,
+                          QueryScratch& scratch) {
+  const ScoreContext ctx = prepareTerms(index, terms, global, scratch);
   scratch.exec = ExecStats{};
   scratch.cursors.clear();
   for (const TermId t : scratch.terms) {
@@ -44,7 +56,6 @@ ScoreContext buildCursors(const InvertedIndex& index,
     // tf/(tf+norm) < 1, so idf*(k1+1) bounds any contribution.
     scratch.cursors.emplace_back();
     scratch.cursors.back().init(pl, idf, idf * (params.k1 + 1.0),
-                                pl.boundsExactFor(ctx.avgLen, params),
                                 &scratch.buffer(scratch.cursors.size() - 1),
                                 &scratch.exec);
   }
@@ -57,131 +68,60 @@ void finishExec(const QueryScratch& scratch, ExecStats* stats) {
       obs::MetricsRegistry::global().counter("query.blocks_decoded");
   static obs::Counter& skipped =
       obs::MetricsRegistry::global().counter("query.blocks_skipped");
-  static obs::Counter& prunes =
-      obs::MetricsRegistry::global().counter("query.heap_threshold_prunes");
   decoded.add(scratch.exec.blocksDecoded);
   skipped.add(scratch.exec.blocksSkipped);
-  prunes.add(scratch.exec.heapThresholdPrunes);
 }
 
 }  // namespace detail
 
 namespace {
 
-/// The block-max DAAT core (no tracing/counter side effects; fills
-/// scratch.exec).
-std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
-                                        const std::vector<TermId>& terms,
-                                        std::size_t k, const Bm25Params& params,
-                                        const GlobalStats* global,
-                                        QueryScratch& scratch) {
+/// The exhaustive term-at-a-time core (no tracing/counter side effects;
+/// fills scratch.exec). The dense accumulator is all-zero between queries:
+/// only the touched entries are written, and each is cleared as it streams
+/// into the heap.
+std::span<const ScoredDoc> scanExhaustive(const InvertedIndex& index,
+                                          const std::vector<TermId>& terms,
+                                          std::size_t k, const Bm25Params& params,
+                                          const GlobalStats* global,
+                                          QueryScratch& scratch) {
   scratch.exec = ExecStats{};
   scratch.heapStorage.clear();
   if (k == 0 || terms.empty()) return {};
   const detail::ScoreContext ctx =
-      detail::buildCursors(index, terms, params, global, scratch);
-  std::vector<TermCursor>& cursors = scratch.cursors;
-  if (cursors.empty()) return {};
+      detail::prepareTerms(index, terms, global, scratch);
+  std::vector<double>& acc = scratch.acc;
+  if (acc.size() < index.documentCount()) acc.resize(index.documentCount(), 0.0);
+  std::vector<DocId>& touched = scratch.touched;
+  touched.clear();
+  CursorBuffer& block = scratch.buffer(0);
+
+  for (const TermId t : scratch.terms) {
+    const PostingList list = index.postings(t);
+    if (list.documentCount() == 0) continue;
+    const double idf =
+        bm25Idf(ctx.docCount, effectiveDf(global, t, list.documentCount()));
+    for (std::size_t b = 0; b < list.blockCount(); ++b) {
+      const std::uint32_t count =
+          list.decodeBlock(b, block.docs.data(), block.freqs.data());
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const DocId d = block.docs[i];
+        if (acc[d] == 0.0) touched.push_back(d);
+        acc[d] += bm25TermScore(idf, block.freqs[i], index.docLength(d),
+                                ctx.avgLen, params);
+      }
+    }
+    scratch.exec.postingsScanned += list.documentCount();
+    scratch.exec.blocksDecoded += list.blockCount();
+  }
 
   scratch.heap.reset(&scratch.heapStorage, k);
-  TopKHeap& heap = scratch.heap;
-  // Active cursor indices, kept sorted by head document each round.
-  std::vector<std::size_t>& order = scratch.order;
-  order.resize(cursors.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (;;) {
-    order.erase(
-        std::remove_if(order.begin(), order.end(),
-                       [&cursors](std::size_t i) { return cursors[i].exhausted(); }),
-        order.end());
-    if (order.empty()) break;
-    std::sort(order.begin(), order.end(), [&cursors](std::size_t a, std::size_t b) {
-      return cursors[a].doc() < cursors[b].doc();
-    });
-
-    // Pivot: first prefix whose accumulated global upper bounds could
-    // beat the heap threshold.
-    const double theta = heap.threshold();
-    double acc = 0.0;
-    std::size_t pivot = order.size();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      acc += cursors[order[i]].upperBound();
-      if (acc > theta) {
-        pivot = i;
-        break;
-      }
-    }
-    if (pivot == order.size()) {
-      // Even all remaining lists together cannot beat theta.
-      ++scratch.exec.heapThresholdPrunes;
-      break;
-    }
-    const DocId pivotDoc = cursors[order[pivot]].doc();
-    // Absorb every list already parked on the pivot document: their
-    // contributions must be part of any bound on it.
-    while (pivot + 1 < order.size() && cursors[order[pivot + 1]].doc() == pivotDoc)
-      ++pivot;
-
-    if (cursors[order[0]].doc() == pivotDoc) {
-      // Shallow check: the *block-local* bounds of the lists parked on
-      // the pivot document — much tighter than the global bounds. The
-      // nextGeq aligns each pre-pivot cursor's block without decoding it.
-      double shallow = 0.0;
-      for (std::size_t i = 0; i <= pivot; ++i) {
-        TermCursor& c = cursors[order[i]];
-        c.nextGeq(pivotDoc);
-        if (!c.exhausted()) shallow += c.blockMaxScore(ctx.avgLen, params);
-      }
-      if (shallow <= theta) {
-        // No document in these blocks can beat theta: jump past the
-        // earliest block boundary — but never past the next list's head,
-        // whose contribution the shallow sum did not include.
-        ++scratch.exec.heapThresholdPrunes;
-        DocId jumpTo = ~DocId{0};
-        bool anyLive = false;
-        for (std::size_t i = 0; i <= pivot; ++i) {
-          const TermCursor& c = cursors[order[i]];
-          if (c.exhausted()) continue;
-          jumpTo = std::min(jumpTo, c.blockLastDoc());
-          anyLive = true;
-        }
-        if (!anyLive) continue;  // next round drops the exhausted cursors
-        if (pivot + 1 < order.size())
-          jumpTo = std::min(jumpTo, cursors[order[pivot + 1]].doc() - 1);
-        for (std::size_t i = 0; i <= pivot; ++i) {
-          TermCursor& c = cursors[order[i]];
-          if (!c.exhausted() && c.doc() <= jumpTo) c.nextGeq(jumpTo + 1);
-        }
-        continue;
-      }
-      // Score the pivot document. Iterating cursors in storage (sorted
-      // term) order keeps the summation order identical to TAAT.
-      const double docLength = index.docLength(pivotDoc);
-      double score = 0.0;
-      for (TermCursor& c : cursors) {
-        if (!c.exhausted() && c.doc() == pivotDoc) {
-          score += bm25TermScore(c.idf(), c.freq(), docLength, ctx.avgLen, params);
-          c.next();
-        }
-      }
-      ++scratch.exec.candidatesScored;
-      heap.offer(score, index.docId(pivotDoc));
-    } else {
-      // Advance the pre-pivot list with the largest upper bound (the
-      // classic pick) straight to the pivot document. Only lists whose
-      // head is strictly before the pivot qualify — a list already parked
-      // on the pivot document would make the seek a no-op and stall.
-      std::size_t advance = order[0];
-      for (std::size_t i = 1; i < pivot; ++i) {
-        if (cursors[order[i]].doc() >= pivotDoc) break;  // heads are sorted
-        if (cursors[order[i]].upperBound() > cursors[advance].upperBound())
-          advance = order[i];
-      }
-      cursors[advance].nextGeq(pivotDoc);
-    }
+  for (const DocId d : touched) {
+    scratch.heap.offer(acc[d], index.docId(d));
+    acc[d] = 0.0;
   }
-  return heap.finish();
+  scratch.exec.candidatesScored = touched.size();
+  return scratch.heap.finish();
 }
 
 std::vector<ScoredDoc> selectTopK(std::vector<ScoredDoc>&& scored, std::size_t k) {
@@ -205,7 +145,7 @@ std::span<const ScoredDoc> topKDisjunctiveInto(
   static obs::Counter& queries = detail::queryCounter("disjunctive");
   queries.add();
   obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
-  const auto results = daatBlockMax(index, terms, k, params, global, scratch);
+  const auto results = scanExhaustive(index, terms, k, params, global, scratch);
   detail::finishExec(scratch, stats);
   return results;
 }
@@ -224,51 +164,7 @@ std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
                                            std::size_t k, const Bm25Params& params,
                                            ExecStats* stats,
                                            const GlobalStats* global) {
-  RESEX_TRACE_SPAN("query.disjunctive_taat");
-  static obs::Counter& queries = detail::queryCounter("disjunctive_taat");
-  queries.add();
-  obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
-  QueryScratch& scratch = threadLocalQueryScratch();
-  const std::size_t docCount =
-      global ? global->documentCount : index.documentCount();
-  const double avgLen = global ? global->avgDocLength : index.averageDocLength();
-  std::vector<TermId>& unique = scratch.terms;
-  unique.assign(terms.begin(), terms.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-
-  // Dense accumulator over the shard's documents, kept all-zero between
-  // queries: only the touched entries are written and cleared.
-  std::vector<double>& acc = scratch.acc;
-  if (acc.size() < index.documentCount()) acc.resize(index.documentCount(), 0.0);
-  std::vector<DocId>& touchedDocs = scratch.touched;
-  touchedDocs.clear();
-
-  for (const TermId t : unique) {
-    const PostingList list = index.postings(t);
-    if (list.documentCount() == 0) continue;
-    const std::size_t df = effectiveDf(global, t, list.documentCount());
-    const double idf = bm25Idf(docCount, df);
-    list.decode(scratch.decodeDocs, scratch.decodeFreqs);
-    if (stats) stats->postingsScanned += scratch.decodeDocs.size();
-    for (std::size_t i = 0; i < scratch.decodeDocs.size(); ++i) {
-      const DocId d = scratch.decodeDocs[i];
-      if (acc[d] == 0.0) touchedDocs.push_back(d);
-      acc[d] += bm25TermScore(idf, scratch.decodeFreqs[i], index.docLength(d),
-                              avgLen, params);
-    }
-  }
-
-  std::vector<ScoredDoc>& candidates = scratch.candidates;
-  candidates.clear();
-  candidates.reserve(touchedDocs.size());
-  for (const DocId d : touchedDocs) {
-    candidates.push_back(ScoredDoc{index.docId(d), acc[d]});
-    acc[d] = 0.0;
-  }
-  if (stats) stats->candidatesScored += candidates.size();
-  std::vector<ScoredDoc> scored(candidates.begin(), candidates.end());
-  return selectTopK(std::move(scored), k);
+  return topKDisjunctive(index, terms, k, params, stats, global);
 }
 
 std::span<const ScoredDoc> topKConjunctiveInto(

@@ -1,15 +1,19 @@
 // Query execution over an InvertedIndex: BM25-scored disjunctive top-k and
 // conjunctive (AND) retrieval, with work accounting (postings touched).
 //
-// topKDisjunctive runs document-at-a-time with block-max skipping (Ding &
-// Suel): cursors advance block-by-block over the block codec, whole blocks
-// are passed over without decoding when their metadata bound cannot beat
-// the top-k heap threshold, and all state lives in a reusable QueryScratch
-// arena (zero steady-state allocation — the *Into variants return views
-// into the arena). topKDisjunctiveTaat is the exhaustive term-at-a-time
-// reference: it scores every posting of every query term, returns results
-// identical to the DAAT path, and is the work baseline the pruning
-// literature (and fig12_pruning) measures against.
+// The disjunctive kernel every broker worker runs is an exhaustive
+// term-at-a-time scan: each query term's list is decoded block by block
+// and every posting's BM25 contribution is added into a dense per-shard
+// accumulator, in sorted-unique-term order, so a document's score is the
+// same floating-point sum whichever caller asks. Touched documents then
+// stream through a bounded top-k heap. All state lives in a reusable
+// QueryScratch arena (zero steady-state allocation — the *Into variants
+// return views into the arena). It was chosen over block-max DAAT by
+// measurement: on corpora whose terms are drawn independently per
+// document, block bounds prune almost nothing, and the scan does the same
+// work with fewer branches. The pruning executors (MaxScore, WAND, the
+// hybrid) and the conjunctive path are bench and CLI tools measured
+// against it.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +28,8 @@
 namespace resex {
 
 namespace detail {
-/// Shared query-path instruments: every top-k executor (TAAT, DAAT,
-/// MaxScore, WAND) records into the same `query.latency_us` histogram and
+/// Shared query-path instruments: every top-k executor (disjunctive,
+/// conjunctive, MaxScore, WAND) records into the same `query.latency_us` histogram and
 /// a per-algorithm `query.algo.<name>` counter.
 obs::Histogram& queryLatencyHistogram();
 obs::Counter& queryCounter(const char* algo);
@@ -38,22 +42,20 @@ struct ScoreContext {
 
 /// Deduplicates `terms` into scratch.terms, resets scratch.exec, and
 /// initializes one cursor per non-empty posting list (idf from
-/// effectiveDf, block bounds marked precise when the query statistics
-/// match the list's build statistics).
+/// effectiveDf).
 ScoreContext buildCursors(const InvertedIndex& index,
                           const std::vector<TermId>& terms,
                           const Bm25Params& params, const GlobalStats* global,
                           QueryScratch& scratch);
 
 /// Accumulates scratch.exec into `stats` (may be null) and records the
-/// block counters (`query.blocks_decoded` / `query.blocks_skipped` /
-/// `query.heap_threshold_prunes`).
+/// block counters (`query.blocks_decoded` / `query.blocks_skipped`).
 void finishExec(const QueryScratch& scratch, ExecStats* stats);
 }  // namespace detail
 
-/// Disjunctive (OR) top-k by BM25 — document-at-a-time with block-max
-/// skipping; results are exactly the exhaustive top-k (sorted by
-/// descending score, ties by ascending doc id).
+/// Disjunctive (OR) top-k by BM25: the exhaustive scan, sorted by
+/// descending score, ties by ascending doc id. postingsScanned and
+/// blocksDecoded count every list of the query in full.
 std::vector<ScoredDoc> topKDisjunctive(const InvertedIndex& index,
                                        const std::vector<TermId>& terms,
                                        std::size_t k, const Bm25Params& params,
@@ -68,9 +70,9 @@ std::span<const ScoredDoc> topKDisjunctiveInto(
     const Bm25Params& params, QueryScratch& scratch, ExecStats* stats = nullptr,
     const GlobalStats* global = nullptr);
 
-/// Exhaustive term-at-a-time reference: every posting of every query term
-/// is decoded and scored into a dense accumulator. Same results as
-/// topKDisjunctive; postingsScanned counts the full lists.
+/// The exhaustive reference the pruning executors are checked and measured
+/// against: the same scorer as topKDisjunctive, under the name their tests
+/// and benches use.
 std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
                                            const std::vector<TermId>& terms,
                                            std::size_t k, const Bm25Params& params,

@@ -1,9 +1,9 @@
 // Shared BM25 scoring primitives and query-execution plumbing types.
 //
-// Every executor (TAAT reference, DAAT block-max, MaxScore, WAND) scores
-// with the same formula and the same per-query statistics, so the types
-// live here — below block_codec/cursor and query_exec — to keep the
-// include graph acyclic: block_codec needs Bm25Params to precompute
+// Every executor (the exhaustive disjunctive scan, conjunctive, MaxScore,
+// WAND) scores with the same formula and the same per-query statistics,
+// so the types live here — below block_codec/cursor and query_exec — to
+// keep the include graph acyclic: block_codec needs Bm25Params to precompute
 // per-block score bounds, cursor needs ExecStats to account for block
 // decodes and skips, and query_exec needs both.
 #pragma once
@@ -37,10 +37,12 @@ struct ExecStats {
   std::size_t candidatesScored = 0;
   /// Posting blocks decoded into a cursor buffer.
   std::size_t blocksDecoded = 0;
-  /// Posting blocks passed over without decoding (block-max skipping).
+  /// Posting blocks a cursor passed over without decoding (conjunctive
+  /// seeks); the disjunctive scan decodes every block.
   std::size_t blocksSkipped = 0;
-  /// Pruning decisions driven by the top-k heap threshold (shallow
-  /// block-bound rejections and global-bound terminations).
+  /// Pruning decisions driven by the top-k heap threshold. No executor
+  /// that fills ExecStats prunes, so it stays zero; the benchmark
+  /// harness's per-layer record still reads it.
   std::size_t heapThresholdPrunes = 0;
 
   /// Adds every counter of `other` — the one accumulation path for

@@ -67,7 +67,7 @@ BlockPostingList SegmentPlanes::postings(TermId term) const {
   return BlockPostingList::overValidated(
       metas.subspan(entry.blockBegin, entry.blockCount),
       payload.data() + entry.payloadOffset, entry.payloadBytes,
-      entry.postingCount, avgDocLength, params);
+      entry.postingCount);
 }
 
 // ---- Writer -----------------------------------------------------------
@@ -349,8 +349,8 @@ void MappedSegment::validate() {
 
   // Dense indices follow ascending original id, and the build rejects
   // duplicate ids: a docid plane that is not strictly ascending would make
-  // equal-score ties (broken by doc id) disagree with the dense order DAAT
-  // walks in.
+  // equal-score ties (broken by doc id) disagree with the dense order the
+  // cursor executors walk in.
   for (std::uint32_t d = 1; d < footer_.docCount; ++d)
     if (planes_.docIds[d] <= planes_.docIds[d - 1])
       reject("docid plane not strictly ascending at dense index " +
@@ -405,8 +405,7 @@ BlockPostingList MappedSegment::validatedPostings(TermId term) const {
     return BlockPostingList::viewOf(
         planes_.metas.subspan(entry.blockBegin, entry.blockCount),
         planes_.payload.data() + entry.payloadOffset, entry.payloadBytes,
-        entry.postingCount, footer_.docCount, planes_.avgDocLength,
-        planes_.params);
+        entry.postingCount, footer_.docCount);
   } catch (const std::invalid_argument& e) {
     throw SegmentFormatError("segment " + path_ + ": term " +
                              std::to_string(term) + ": " + e.what());

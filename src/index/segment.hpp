@@ -33,8 +33,8 @@
 // per-term block-metadata validation (BlockPostingList::viewOf, which also
 // bounds every doc range below the footer's docCount), and a one-shot
 // decode of every block all run before the first query; any inconsistency
-// throws SegmentFormatError. The decode pass proves what DAAT pruning
-// relies on: prefix-summed ids land on each block's declared lastDoc, and
+// throws SegmentFormatError. The decode pass proves what cursor skipping
+// and the block score bounds rely on: prefix-summed ids land on each block's declared lastDoc, and
 // every posting's frequency, document length and BM25 weight (at the
 // footer's statistics) respect its block's maxTf, minDocLen and maxWeight.
 // A segment that loads can never hand the query kernel an out-of-range doc
@@ -111,8 +111,8 @@ struct SegmentFooter {
   std::uint32_t docCount = 0;
   std::uint64_t totalPostings = 0;
   std::uint64_t totalBlocks = 0;
-  /// Statistics the lists' block bounds were built with (see
-  /// BlockPostingList::boundsExactFor).
+  /// Statistics the lists' block bounds (PostingBlockMeta::maxWeight)
+  /// were built with.
   double avgDocLength = 0.0;
   double bm25K1 = 0.0;
   double bm25B = 0.0;

@@ -23,10 +23,9 @@ struct SimulationConfig {
   /// with capacity[0] == c serves at rate c * workUnitsPerCapacity.
   double workUnitsPerCapacity = 0.01;
   /// Fraction of a shard's exhaustive scan cost a query actually incurs,
-  /// in (0, 1]. The analytic cost model assumes full-scan work per query;
-  /// the materialized kernel prunes most of it (block-max DAAT — see
-  /// bench/query_bench for the measured scanned/df ratio), which this
-  /// factor folds back into the simulator. 1.0 keeps the exhaustive model.
+  /// in (0, 1]. The analytic cost model assumes full-scan work per query,
+  /// which is what the serving kernel does (1.0); a pruning executor would
+  /// fold its measured scanned/df ratio back into the simulator here.
   double pruningFactor = 1.0;
 };
 

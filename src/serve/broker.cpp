@@ -696,8 +696,6 @@ void QueryBroker::workerLoop(std::size_t machine) {
         shardBusyNanos_[task.physicalShard].fetch_add(
             static_cast<std::uint64_t>(busy * 1e9), std::memory_order_relaxed);
         blocksDecoded_.fetch_add(exec.blocksDecoded, std::memory_order_relaxed);
-        blocksSkipped_.fetch_add(exec.blocksSkipped, std::memory_order_relaxed);
-        heapPrunes_.fetch_add(exec.heapThresholdPrunes, std::memory_order_relaxed);
         TenantStats& tstats = *tenantStats_[pending.tenant];
         tstats.tasks.fetch_add(1, std::memory_order_relaxed);
         tstats.postings.fetch_add(exec.postingsScanned, std::memory_order_relaxed);
@@ -710,9 +708,6 @@ void QueryBroker::workerLoop(std::size_t machine) {
         if (run) {
           execSpan.arg("postings", static_cast<double>(exec.postingsScanned));
           execSpan.arg("blocks_decoded", static_cast<double>(exec.blocksDecoded));
-          execSpan.arg("blocks_skipped", static_cast<double>(exec.blocksSkipped));
-          execSpan.arg("heap_prunes",
-                       static_cast<double>(exec.heapThresholdPrunes));
         }
       }
     }  // execSpan records into this worker's arena here
@@ -784,8 +779,6 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
     out.shardBusySeconds[s] = static_cast<double>(harvest(shardBusyNanos_[s])) * 1e-9;
   }
   out.blocksDecoded = harvest(blocksDecoded_);
-  out.blocksSkipped = harvest(blocksSkipped_);
-  out.heapThresholdPrunes = harvest(heapPrunes_);
   LatencyHistogram latency{1e-6, 12};
   out.tenants.resize(registry_.count());
   for (std::size_t t = 0; t < registry_.count(); ++t) {
@@ -844,7 +837,6 @@ std::string QueryBroker::debugJson() const {
   json.field("p95_seconds", load.p95);
   json.field("p99_seconds", load.p99);
   json.field("mean_seconds", load.meanLatency);
-  json.field("block_skip_ratio", load.blockSkipRatio());
   const CacheStats cache = cache_.stats();
   json.key("cache").beginObject();
   json.field("capacity", static_cast<std::uint64_t>(cache_.capacity()));

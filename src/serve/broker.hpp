@@ -154,12 +154,8 @@ struct ObservedLoad {
   std::vector<std::uint64_t> shardTasks;
   std::vector<std::uint64_t> shardPostings;
   std::vector<double> shardBusySeconds;
-  /// Aggregate block-kernel counters over the window: posting blocks
-  /// decoded vs passed over without decoding, and heap-threshold pruning
-  /// decisions (see ExecStats).
+  /// Posting blocks the kernel decoded over the window.
   std::uint64_t blocksDecoded = 0;
-  std::uint64_t blocksSkipped = 0;
-  std::uint64_t heapThresholdPrunes = 0;
   /// Client-visible latency over the window.
   double p50 = 0.0, p95 = 0.0, p99 = 0.0, meanLatency = 0.0;
   /// Per-tenant heat over the window; the totals above are its sums.
@@ -182,11 +178,6 @@ struct ObservedLoad {
 
   double throughputQps() const noexcept {
     return windowSeconds > 0.0 ? static_cast<double>(queries) / windowSeconds : 0.0;
-  }
-  /// Fraction of posting blocks the kernel never had to decode.
-  double blockSkipRatio() const noexcept {
-    const double total = static_cast<double>(blocksDecoded + blocksSkipped);
-    return total > 0.0 ? static_cast<double>(blocksSkipped) / total : 0.0;
   }
   /// Fraction of the window machine `m`'s workers spent executing,
   /// normalized by its worker count.
@@ -416,8 +407,6 @@ class QueryBroker {
   /// Nanoseconds, so the hot path stays a relaxed integer add.
   std::vector<std::atomic<std::uint64_t>> shardBusyNanos_;
   std::atomic<std::uint64_t> blocksDecoded_{0};
-  std::atomic<std::uint64_t> blocksSkipped_{0};
-  std::atomic<std::uint64_t> heapPrunes_{0};
   std::mutex windowMutex_;  ///< guards windowStart_
   std::chrono::steady_clock::time_point windowStart_;
 

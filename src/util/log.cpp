@@ -36,9 +36,14 @@ int formatTimestamp(char* buf, std::size_t size) {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
+  // Clamped to their calendar ranges, so the compiler can prove each field
+  // fits its width and the stamp fits in 25 bytes.
   return std::snprintf(buf, size, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                       tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                       tm.tm_min, tm.tm_sec, static_cast<int>(millis));
+                       std::clamp(tm.tm_year + 1900, 0, 9999),
+                       std::clamp(tm.tm_mon + 1, 1, 12), std::clamp(tm.tm_mday, 1, 31),
+                       std::clamp(tm.tm_hour, 0, 23), std::clamp(tm.tm_min, 0, 59),
+                       std::clamp(tm.tm_sec, 0, 60),
+                       std::clamp(static_cast<int>(millis), 0, 999));
 }
 
 }  // namespace

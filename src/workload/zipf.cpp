@@ -13,8 +13,13 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double exponent) : n_(n), s_(exponent)
   // Eager normalizer so probability() is a pure read — a lazy computation
   // here raced when const samplers were shared across serving threads.
   norm_ = 0.0;
-  for (std::uint64_t k = 1; k <= n_; ++k)
-    norm_ += std::pow(static_cast<double>(k), -s_);
+  accept_.resize(n_);
+  for (std::uint64_t k = 1; k <= n_; ++k) {
+    const double kd = static_cast<double>(k);
+    const double mass = std::pow(kd, -s_);
+    norm_ += mass;
+    accept_[k - 1] = h(kd + 0.5) - mass;
+  }
 }
 
 // h(x) = integral of x^-s: (x^(1-s) - 1)/(1-s), with the s == 1 limit ln(x).
@@ -38,8 +43,7 @@ std::uint64_t ZipfSampler::sample(Rng& rng) const {
     if (k < 1 || k > n_) continue;
     // Accept with probability proportional to the true mass at k relative
     // to the dominating envelope.
-    const double kd = static_cast<double>(k);
-    if (u >= h(kd + 0.5) - std::pow(kd, -s_)) return k;
+    if (u >= accept_[k - 1]) return k;
   }
 }
 

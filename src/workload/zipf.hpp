@@ -1,12 +1,14 @@
 // Zipf-distributed sampling over {1..n} with exponent s >= 0.
 //
-// Uses Hörmann's rejection-inversion method: O(1) draws with no O(n) table,
-// so it scales to vocabulary-sized domains (search-term popularity).
-// Construction makes one O(n) pass to fix the probability() normalizer;
-// after that every method is const and safe to call concurrently.
+// Uses Hörmann's rejection-inversion method: O(1) expected draws. The
+// constructor makes one O(n) pass that fixes the probability() normalizer
+// and tabulates the acceptance bound h(k+0.5) - k^-s of every rank, so a
+// draw costs one inversion and a table read (8 bytes per rank); after that
+// every method is const and safe to call concurrently.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -35,6 +37,7 @@ class ZipfSampler {
   double hX1_;
   double hN_;
   double norm_;  // sum_{k=1..n} k^-s, computed once in the constructor
+  std::vector<double> accept_;  // [k-1] = h(k+0.5) - k^-s
 };
 
 }  // namespace resex

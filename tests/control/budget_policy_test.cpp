@@ -45,8 +45,9 @@ TEST(ControllerRun, BudgetGatesSomeEpochsButAccountingStaysConsistent) {
     const Instance inst = trace.instanceForEpoch(e, mapping);
     const EpochReport report = controller.step(inst);
     if (report.executed) executedBytes += report.scheduleBytes;
-    if (report.triggered && !report.executed)
+    if (report.triggered && !report.executed) {
       EXPECT_GT(report.scheduleBytes, config.bytesBudgetPerEpoch);
+    }
     mapping = controller.mapping();
   }
   EXPECT_NEAR(controller.cumulativeBytes(), executedBytes, 1.0);

@@ -83,7 +83,9 @@ TEST(Score, ComparisonIsIrreflexiveAndAsymmetric) {
     const Score a = randomScore(rng);
     const Score b = randomScore(rng);
     EXPECT_FALSE(a.betterThan(a));
-    if (a.betterThan(b)) EXPECT_FALSE(b.betterThan(a));
+    if (a.betterThan(b)) {
+      EXPECT_FALSE(b.betterThan(a));
+    }
   }
 }
 
@@ -93,7 +95,9 @@ TEST(Score, ComparisonIsTransitive) {
     const Score a = randomScore(rng);
     const Score b = randomScore(rng);
     const Score c = randomScore(rng);
-    if (a.betterThan(b) && b.betterThan(c)) EXPECT_TRUE(a.betterThan(c));
+    if (a.betterThan(b) && b.betterThan(c)) {
+      EXPECT_TRUE(a.betterThan(c));
+    }
     // Equivalence ("neither better") must be transitive too — this is the
     // property tolerance bands break.
     const bool abEq = !a.betterThan(b) && !b.betterThan(a);

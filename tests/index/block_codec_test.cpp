@@ -131,10 +131,6 @@ TEST(BlockCodec, BlockBoundsDominateEveryPosting) {
   const Bm25Params params;
   const EncodedList encoded(p.docs, p.freqs, docLengths, avgLen, params);
   const BlockPostingList& list = encoded.list;
-  EXPECT_TRUE(list.boundsExactFor(avgLen, params));
-  EXPECT_FALSE(list.boundsExactFor(avgLen + 1.0, params));
-  EXPECT_FALSE(list.boundsExactFor(avgLen, Bm25Params{.k1 = 0.9, .b = 0.75}));
-
   const double idf = 1.7;  // any positive idf scales both sides equally
   std::size_t covered = 0;
   for (std::size_t b = 0; b < list.blockCount(); ++b) {
@@ -169,7 +165,7 @@ TEST(BlockCodec, EmptyListBehaves) {
 
   CursorBuffer buffer;
   TermCursor cursor;
-  cursor.init(list, 1.0, 1.0, false, &buffer, nullptr);
+  cursor.init(list, 1.0, 1.0, &buffer, nullptr);
   EXPECT_TRUE(cursor.exhausted());
 }
 
@@ -223,7 +219,7 @@ TEST(BlockCodec, CursorNextGeqMatchesLinearReference) {
     const BlockPostingList& list = encoded.list;
     CursorBuffer buffer;
     TermCursor cursor;
-    cursor.init(list, 1.0, 1.0, false, &buffer, nullptr);
+    cursor.init(list, 1.0, 1.0, &buffer, nullptr);
     DocId target = 0;
     while (!cursor.exhausted()) {
       target += static_cast<DocId>(rng.below(2 * gapBound + 8));
@@ -254,7 +250,7 @@ TEST(BlockCodec, CursorSkipsBlocksWithoutDecoding) {
   CursorBuffer buffer;
   ExecStats stats;
   TermCursor cursor;
-  cursor.init(list, 1.0, 1.0, false, &buffer, &stats);
+  cursor.init(list, 1.0, 1.0, &buffer, &stats);
   cursor.nextGeq(list.block(7).firstDoc);
   EXPECT_EQ(cursor.doc(), list.block(7).firstDoc);
   EXPECT_EQ(stats.blocksSkipped, 7u);

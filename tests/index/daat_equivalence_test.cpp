@@ -1,10 +1,11 @@
-// DAAT ≡ TAAT: the block-max DAAT kernel must return *bit-identical*
-// results to the exhaustive term-at-a-time reference — same documents,
-// same scores, no tolerance. Both paths sum per-term contributions in
-// sorted-unique-term order, so even floating-point summation agrees.
+// The serving kernel against the document-side reference (brute_force.hpp):
+// bit-identical results — same documents, same scores, no tolerance. Both
+// sum per-term contributions in sorted-unique-term order, so even the
+// floating-point summation agrees.
 
 #include <gtest/gtest.h>
 
+#include "index/brute_force.hpp"
 #include "index/partition.hpp"
 #include "index/query_exec.hpp"
 #include "index/wand.hpp"
@@ -14,13 +15,22 @@
 namespace resex {
 namespace {
 
-void expectBitIdentical(const std::vector<ScoredDoc>& daat,
-                        const std::vector<ScoredDoc>& taat) {
-  ASSERT_EQ(daat.size(), taat.size());
-  for (std::size_t i = 0; i < daat.size(); ++i) {
-    EXPECT_EQ(daat[i].doc, taat[i].doc) << "rank " << i;
-    EXPECT_EQ(daat[i].score, taat[i].score) << "rank " << i;
+void expectBitIdentical(const std::vector<ScoredDoc>& kernel,
+                        const std::vector<ScoredDoc>& reference) {
+  ASSERT_EQ(kernel.size(), reference.size());
+  for (std::size_t i = 0; i < kernel.size(); ++i) {
+    EXPECT_EQ(kernel[i].doc, reference[i].doc) << "rank " << i;
+    EXPECT_EQ(kernel[i].score, reference[i].score) << "rank " << i;
   }
+}
+
+std::vector<TermId> randomQuery(Rng& rng, const ZipfSampler& termPick,
+                                std::size_t maxTerms) {
+  std::vector<TermId> query;
+  const std::size_t len = 1 + rng.below(maxTerms);
+  for (std::size_t i = 0; i < len; ++i)
+    query.push_back(static_cast<TermId>(termPick.sample(rng) - 1));
+  return query;
 }
 
 TEST(DaatEquivalence, IdenticalResultsAcrossSeededCorpora) {
@@ -29,16 +39,19 @@ TEST(DaatEquivalence, IdenticalResultsAcrossSeededCorpora) {
         .seed = seed, .docCount = 2500, .termCount = 500, .termExponent = 1.0};
     const auto docs = generateDocuments(config);
     const InvertedIndex index(config.termCount, docs);
+    const GlobalStats stats = corpusStats(docs, config.termCount);
     Rng rng(seed + 7);
     const ZipfSampler termPick(config.termCount, 0.9);
     for (int q = 0; q < 120; ++q) {
-      std::vector<TermId> query;
-      const std::size_t len = 1 + rng.below(4);
-      for (std::size_t i = 0; i < len; ++i)
-        query.push_back(static_cast<TermId>(termPick.sample(rng) - 1));
+      const auto query = randomQuery(rng, termPick, 4);
+      // The reference's top-100 holds every smaller k's answer as a prefix.
+      const auto reference = bruteForce(docs, stats, query, 100, false, {});
       for (const std::size_t k : {1u, 10u, 100u})
-        expectBitIdentical(topKDisjunctive(index, query, k, Bm25Params{}),
-                           topKDisjunctiveTaat(index, query, k, Bm25Params{}));
+        expectBitIdentical(
+            topKDisjunctive(index, query, k, Bm25Params{}),
+            {reference.begin(),
+             reference.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(k, reference.size()))});
     }
   }
 }
@@ -48,17 +61,22 @@ TEST(DaatEquivalence, IdenticalUnderGlobalStatsAcrossShards) {
       .seed = 203, .docCount = 3000, .termCount = 400, .termExponent = 1.0};
   const auto docs = generateDocuments(config);
   const PartitionedIndex part(config.termCount, docs, 3);
+  // The reference derives the broadcast statistics from the documents.
+  const GlobalStats global = corpusStats(docs, config.termCount);
+  ASSERT_EQ(global.documentCount, part.globalStats().documentCount);
+  ASSERT_EQ(global.avgDocLength, part.globalStats().avgDocLength);
+  ASSERT_EQ(global.documentFrequency, part.globalStats().documentFrequency);
+  std::vector<std::vector<Document>> shardDocs;
+  for (std::size_t s = 0; s < part.shardCount(); ++s)
+    shardDocs.push_back(shardDocuments(docs, part.shard(s)));
   Rng rng(9);
   const ZipfSampler termPick(config.termCount, 1.0);
   for (int q = 0; q < 60; ++q) {
-    std::vector<TermId> query;
-    for (std::size_t i = 0; i < 1 + rng.below(3); ++i)
-      query.push_back(static_cast<TermId>(termPick.sample(rng) - 1));
+    const auto query = randomQuery(rng, termPick, 3);
     for (std::size_t s = 0; s < part.shardCount(); ++s)
       expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
                                          nullptr, &part.globalStats()),
-                         topKDisjunctiveTaat(part.shard(s), query, 10, Bm25Params{},
-                                             nullptr, &part.globalStats()));
+                         bruteForce(shardDocs[s], global, query, 10, false, {}));
   }
 }
 
@@ -79,6 +97,7 @@ TEST(DaatEquivalence, StaleGlobalStatsFallBackToShardLocalDf) {
   stale.documentCount = index.documentCount();
   stale.avgDocLength = index.averageDocLength();
   const auto local = topKDisjunctive(index, query, 10, Bm25Params{});
+  expectBitIdentical(local, bruteForce(docs, config.termCount, query, 10, false, {}));
   expectBitIdentical(
       topKDisjunctive(index, query, 10, Bm25Params{}, nullptr, &stale), local);
 
@@ -88,15 +107,16 @@ TEST(DaatEquivalence, StaleGlobalStatsFallBackToShardLocalDf) {
       topKDisjunctive(index, query, 10, Bm25Params{}, nullptr, &stale), local);
 
   // Partially-truncated vector: terms below the cut use the snapshot,
-  // terms above fall back; nothing throws. Every path agrees with TAAT.
+  // terms above fall back; nothing throws, and each shard matches the
+  // reference scoring its own documents with the same snapshot.
   const PartitionedIndex part(config.termCount, docs, 2);
   GlobalStats truncated = part.globalStats();
   truncated.documentFrequency.resize(150);
   for (std::size_t s = 0; s < part.shardCount(); ++s)
     expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
                                        nullptr, &truncated),
-                       topKDisjunctiveTaat(part.shard(s), query, 10, Bm25Params{},
-                                           nullptr, &truncated));
+                       bruteForce(shardDocuments(docs, part.shard(s)), truncated,
+                                  query, 10, false, {}));
 
   // MaxScore and WAND share the fallback through buildCursors.
   EXPECT_NO_THROW(topKMaxScore(part.shard(0), query, 10, Bm25Params{}, nullptr,
@@ -106,47 +126,96 @@ TEST(DaatEquivalence, StaleGlobalStatsFallBackToShardLocalDf) {
   EXPECT_NO_THROW(chooseStrategy(part.shard(0), query, &truncated));
 }
 
-TEST(DaatEquivalence, SkipAndPruneCountersFireOnSelectiveQueries) {
-  SyntheticDocConfig config{
-      .seed = 47, .docCount = 20000, .termCount = 2000, .termExponent = 1.05};
-  const auto docs = generateDocuments(config);
+TEST(DaatEquivalence, TiesBreakByAscendingDocId) {
+  // Every document appears twice, once with id d and once with id d+n: each
+  // score is shared by at least two documents, so every cut of the top-k
+  // falls among ties, which must keep the lower ids.
+  SyntheticDocConfig config{.seed = 61, .docCount = 600, .termCount = 200};
+  auto docs = generateDocuments(config);
+  const std::size_t n = docs.size();
+  for (std::size_t d = 0; d < n; ++d)
+    docs.push_back(Document{static_cast<DocId>(n + d), docs[d].terms});
   const InvertedIndex index(config.termCount, docs);
-  // A head term paired with a moderately rare one: the rare list gates the
-  // pivot, so the head list's blocks are mostly passed over undecoded.
-  TermId rare = 0;
-  for (TermId t = config.termCount; t-- > 0;) {
-    const std::size_t df = index.documentFrequency(t);
-    if (df >= 10 && df <= 60) {
-      rare = t;
-      break;
+  const GlobalStats stats = corpusStats(docs, config.termCount);
+  Rng rng(5);
+  const ZipfSampler termPick(config.termCount, 0.9);
+  std::size_t tiedPairs = 0;
+  for (int q = 0; q < 40; ++q) {
+    const auto query = randomQuery(rng, termPick, 3);
+    for (const std::size_t k : {1u, 5u, 11u}) {
+      const auto results = topKDisjunctive(index, query, k, Bm25Params{});
+      expectBitIdentical(results, bruteForce(docs, stats, query, k, false, {}));
+      for (std::size_t i = 1; i < results.size(); ++i)
+        tiedPairs += results[i].score == results[i - 1].score;
     }
   }
-  ASSERT_GT(index.documentFrequency(0), 100 * index.documentFrequency(rare));
-  ExecStats daat;
-  const auto pruned = topKDisjunctive(index, {0, rare}, 5, Bm25Params{}, &daat);
-  ExecStats taat;
-  const auto full = topKDisjunctiveTaat(index, {0, rare}, 5, Bm25Params{}, &taat);
-  expectBitIdentical(pruned, full);
-  EXPECT_GT(daat.blocksSkipped, 0u);
-  EXPECT_GT(daat.heapThresholdPrunes, 0u);
-  EXPECT_LT(daat.postingsScanned, taat.postingsScanned);
-  EXPECT_GT(daat.blocksDecoded, 0u);
+  EXPECT_GT(tiedPairs, 0u);
+}
+
+TEST(DaatEquivalence, DuplicateAndAbsentTermsMatchBruteForce) {
+  SyntheticDocConfig config{
+      .seed = 71, .docCount = 400, .termCount = 3000, .termExponent = 1.2};
+  const auto docs = generateDocuments(config);
+  const PartitionedIndex part(config.termCount, docs, 2);
+  const InvertedIndex whole(config.termCount, docs);
+  // A term no document holds, and one that only some shard lacks.
+  TermId absent = 0;
+  TermId oneShard = 0;
+  for (TermId t = 0; t < config.termCount; ++t) {
+    if (whole.documentFrequency(t) == 0) absent = t;
+    if (part.shard(0).documentFrequency(t) == 0 &&
+        part.shard(1).documentFrequency(t) > 0)
+      oneShard = t;
+  }
+  ASSERT_EQ(whole.documentFrequency(absent), 0u);
+  ASSERT_GT(part.shard(1).documentFrequency(oneShard), 0u);
+  const GlobalStats global = corpusStats(docs, config.termCount);
+  const std::vector<std::vector<TermId>> queries{
+      {3, 3},          {absent},           {absent, absent},
+      {7, absent, 7},  {oneShard, 2, 2},   {oneShard, absent, 0, 0, 5}};
+  for (const auto& query : queries) {
+    expectBitIdentical(topKDisjunctive(whole, query, 10, Bm25Params{}),
+                       bruteForce(docs, config.termCount, query, 10, false, {}));
+    for (std::size_t s = 0; s < part.shardCount(); ++s)
+      expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
+                                         nullptr, &part.globalStats()),
+                         bruteForce(shardDocuments(docs, part.shard(s)), global,
+                                    query, 10, false, {}));
+  }
+  EXPECT_TRUE(topKDisjunctive(whole, {absent}, 10, Bm25Params{}).empty());
+}
+
+TEST(DaatEquivalence, KAboveMatchCountAndKZero) {
+  SyntheticDocConfig config{.seed = 83, .docCount = 900, .termCount = 300};
+  const auto docs = generateDocuments(config);
+  const InvertedIndex index(config.termCount, docs);
+  const std::vector<TermId> query{4, 60, 210};
+  // k above the match count returns every matching document, ranked.
+  ExecStats stats;
+  const auto all = topKDisjunctive(index, query, 1 << 20, Bm25Params{}, &stats);
+  expectBitIdentical(all, bruteForce(docs, config.termCount, query, 1 << 20, false, {}));
+  EXPECT_EQ(all.size(), stats.candidatesScored);
+  EXPECT_LT(all.size(), docs.size());
+  // k = 0 returns nothing and does no work.
+  ExecStats none;
+  EXPECT_TRUE(topKDisjunctive(index, query, 0, Bm25Params{}, &none).empty());
+  EXPECT_EQ(none.postingsScanned, 0u);
+  EXPECT_EQ(none.candidatesScored, 0u);
 }
 
 TEST(DaatEquivalence, IntoVariantReusesOneScratchAcrossQueries) {
   SyntheticDocConfig config{.seed = 53, .docCount = 1200, .termCount = 250};
   const auto docs = generateDocuments(config);
   const InvertedIndex index(config.termCount, docs);
+  const GlobalStats stats = corpusStats(docs, config.termCount);
   QueryScratch scratch;
   Rng rng(3);
   const ZipfSampler termPick(config.termCount, 0.9);
   for (int q = 0; q < 80; ++q) {
-    std::vector<TermId> query;
-    for (std::size_t i = 0; i < 1 + rng.below(3); ++i)
-      query.push_back(static_cast<TermId>(termPick.sample(rng) - 1));
+    const auto query = randomQuery(rng, termPick, 3);
     const auto view = topKDisjunctiveInto(index, query, 10, Bm25Params{}, scratch);
     const std::vector<ScoredDoc> copied(view.begin(), view.end());
-    expectBitIdentical(copied, topKDisjunctiveTaat(index, query, 10, Bm25Params{}));
+    expectBitIdentical(copied, bruteForce(docs, stats, query, 10, false, {}));
   }
 }
 

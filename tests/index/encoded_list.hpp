@@ -23,8 +23,7 @@ struct EncodedList {
     packPostingBlocks(docs, freqs, blocks, payload.data());
     list = BlockPostingList::viewOf(
         blocks, payload.data(), bytes, docs.size(),
-        docs.empty() ? 0 : static_cast<std::uint32_t>(docs.back() + 1),
-        avgDocLength, params);
+        docs.empty() ? 0 : static_cast<std::uint32_t>(docs.back() + 1));
   }
   // The view points into this object's buffers.
   EncodedList(const EncodedList&) = delete;

@@ -31,9 +31,10 @@ void expectSameTopK(const std::vector<ScoredDoc>& pruned,
   ASSERT_EQ(pruned.size(), exhaustive.size());
   for (std::size_t i = 0; i < pruned.size(); ++i) {
     EXPECT_NEAR(pruned[i].score, exhaustive[i].score, 1e-9) << "rank " << i;
-    if (pruned[i].doc != exhaustive[i].doc)
+    if (pruned[i].doc != exhaustive[i].doc) {
       EXPECT_LT(std::abs(pruned[i].score - exhaustive[i].score), 1e-9)
           << "rank " << i << ": different doc without a score tie";
+    }
   }
 }
 

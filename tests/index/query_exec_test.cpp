@@ -2,60 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
+#include "index/brute_force.hpp"
 #include "index/partition.hpp"
 
 namespace resex {
 namespace {
-
-/// Naive reference: score every document by brute force.
-std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
-                                  std::uint32_t termCount,
-                                  const std::vector<TermId>& queryTerms,
-                                  std::size_t k, bool conjunctive,
-                                  const Bm25Params& params) {
-  // Corpus stats.
-  std::vector<std::size_t> df(termCount, 0);
-  double totalLength = 0.0;
-  for (const Document& d : docs) {
-    std::set<TermId> seen(d.terms.begin(), d.terms.end());
-    for (const TermId t : seen) ++df[t];
-    totalLength += static_cast<double>(d.terms.size());
-  }
-  const double avgLength = docs.empty() ? 0.0 : totalLength / docs.size();
-
-  std::set<TermId> unique(queryTerms.begin(), queryTerms.end());
-  std::vector<ScoredDoc> scored;
-  for (const Document& d : docs) {
-    std::map<TermId, int> tf;
-    for (const TermId t : d.terms) ++tf[t];
-    double score = 0.0;
-    bool all = true;
-    for (const TermId t : unique) {
-      const auto it = tf.find(t);
-      if (it == tf.end()) {
-        all = false;
-        continue;
-      }
-      const double idf = bm25Idf(docs.size(), df[t]);
-      const double norm =
-          params.k1 *
-          (1.0 - params.b + params.b * d.terms.size() / std::max(1.0, avgLength));
-      score += idf * (it->second * (params.k1 + 1.0)) / (it->second + norm);
-    }
-    if (conjunctive && !all) continue;
-    if (!conjunctive && score == 0.0) continue;
-    scored.push_back(ScoredDoc{d.id, score});
-  }
-  std::sort(scored.begin(), scored.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc < b.doc;
-  });
-  if (scored.size() > k) scored.resize(k);
-  return scored;
-}
 
 struct Fixture {
   SyntheticDocConfig config;
@@ -79,7 +32,7 @@ void expectSameResults(const std::vector<ScoredDoc>& actual,
 
 TEST(QueryExec, DisjunctiveMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctive(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});
@@ -89,7 +42,7 @@ TEST(QueryExec, DisjunctiveMatchesBruteForce) {
 
 TEST(QueryExec, ConjunctiveMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {0, 1}, {2, 5, 9}, {150, 3}}) {
     const auto fast = topKConjunctive(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, true, {});
@@ -134,8 +87,8 @@ TEST(QueryExec, EmptyQueryAndEmptyTermBehave) {
   }
 }
 
-// topKDisjunctive is the block-max WAND core: degenerate inputs return
-// nothing rather than touching a cursor.
+// Degenerate inputs to the disjunctive kernel return nothing rather than
+// touching a posting list.
 TEST(BlockMaxWand, DegenerateInputs) {
   Fixture f;
   EXPECT_TRUE(topKDisjunctive(f.index, {}, 10, Bm25Params{}).empty());
@@ -149,16 +102,18 @@ TEST(QueryExec, StatsCountScannedPostings) {
   EXPECT_EQ(stats.postingsScanned,
             f.index.documentFrequency(0) + f.index.documentFrequency(1));
   EXPECT_GT(stats.candidatesScored, 0u);
-  // The DAAT path prunes: it never scans more than the exhaustive count.
-  ExecStats daat;
-  topKDisjunctive(f.index, {0, 1}, 10, Bm25Params{}, &daat);
-  EXPECT_GT(daat.postingsScanned, 0u);
-  EXPECT_LE(daat.postingsScanned, stats.postingsScanned);
+  // The serving entry point is the same exhaustive scan: whole lists,
+  // every block decoded.
+  ExecStats serving;
+  topKDisjunctive(f.index, {0, 1}, 10, Bm25Params{}, &serving);
+  EXPECT_EQ(serving.postingsScanned, stats.postingsScanned);
+  EXPECT_EQ(serving.blocksDecoded, f.index.postings(0).blockCount() +
+                                       f.index.postings(1).blockCount());
 }
 
 TEST(QueryExec, TaatMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctiveTaat(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});

@@ -506,7 +506,7 @@ void expectRejectedBy(const std::vector<std::uint8_t>& bytes,
 
 TEST(Segment, HostileDocIdOrderIsRejected) {
   // Dense order is ascending original id; two swapped docid rows would let
-  // equal-score ties (broken by doc id) disagree with the DAAT walk order.
+  // equal-score ties (broken by doc id) disagree with the cursor walk order.
   const InvertedIndex built = buildIndex(59, 200, 80);
   const std::string path = tempPath("hostile-docid-src.seg");
   writeSegment(built, path);

@@ -341,7 +341,8 @@ TEST_F(TraceTest, ThreadsGetDistinctTids) {
   ASSERT_EQ(flat.at("/#size"), "4");
   std::set<std::string> tids;
   for (int i = 0; i < 4; ++i) {
-    const std::string event = "/" + std::to_string(i);
+    std::string event = "/";
+    event += std::to_string(i);
     EXPECT_EQ(flat.at(event + "/name"), "test.worker");
     tids.insert(flat.at(event + "/tid"));
   }

@@ -117,7 +117,8 @@ TEST(Log, SinkCapturesPrefixedLines) {
   EXPECT_EQ(line[20], '.');
   EXPECT_EQ(line[24], 'Z');
   // Thread-id prefix "T<n>" follows the timestamp.
-  const std::string tid = "T" + std::to_string(logThreadId());
+  std::string tid = "T";
+  tid += std::to_string(logThreadId());
   EXPECT_NE(line.find(" " + tid + " "), std::string::npos);
   EXPECT_EQ(line.find('\n'), std::string::npos);
 }

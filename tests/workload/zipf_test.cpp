@@ -93,6 +93,27 @@ TEST(Zipf, DeterministicGivenSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(z.sample(a), z.sample(b));
 }
 
+TEST(Zipf, FixedSeedDrawsArePinned) {
+  // Corpora, query pools and benchmark workloads are all Zipf draws: a
+  // change to the sampler's arithmetic must not move a single draw. The
+  // hashes pin 100,000 draws per exponent (1.0 takes the logarithmic
+  // branch of h) at fixed seeds.
+  const auto drawHash = [](std::uint64_t n, double exponent, std::uint64_t seed) {
+    const ZipfSampler z(n, exponent);
+    Rng rng(seed);
+    std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a over the ranks
+    for (int i = 0; i < 100000; ++i) {
+      hash ^= z.sample(rng);
+      hash *= 1099511628211ULL;
+    }
+    return hash;
+  };
+  EXPECT_EQ(drawHash(6000, 1.05, 1), 4017125231761351188ULL);
+  EXPECT_EQ(drawHash(5980, 0.9, 2), 6280496211989453481ULL);
+  EXPECT_EQ(drawHash(1000, 1.0, 3), 17837891102517116830ULL);
+  EXPECT_EQ(drawHash(50, 2.5, 4), 12577871161678179779ULL);
+}
+
 TEST(Zipf, ProbabilityIsSafeToCallConcurrently) {
   // Regression: probability() used to lazily initialise its normalizer
   // through a const_cast on first call — a data race when several serving
