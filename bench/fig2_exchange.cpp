@@ -11,12 +11,19 @@
 // at/above it the schedule completes and achieved == target, within a
 // fraction of a percent of the volume bound. The swap-LS baseline (no
 // exchange, direct moves only) is the reference line.
+//
+//   ./fig2_exchange [--check]
+//
+// --check exits nonzero unless, at load 0.93, k = 0 completes 0/3 and
+// k = 2 completes 3/3.
 
 #include <cstdio>
+#include <iostream>
 
 #include "core/baselines.hpp"
 #include "core/sra.hpp"
 #include "model/bounds.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/synthetic.hpp"
@@ -41,12 +48,21 @@ resex::Instance makeInstance(std::uint64_t seed, std::size_t k, double load) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  resex::Flags flags;
+  flags.define("check", "false", "exit nonzero unless the exchange threshold holds");
+  flags.parse(argc, argv);
+  if (flags.helpRequested()) {
+    std::cout << flags.helpText("fig2_exchange");
+    return 0;
+  }
+
   std::printf("== F2: achieved bottleneck vs exchange-machine count k ==\n");
   std::printf("m=%zu homogeneous machines, large shards, %d seeds averaged; "
               "borrowed capacity is returned, so k adds no net capacity\n\n",
               kMachines, kSeeds);
 
+  bool pass = true;
   for (const double load : {0.90, 0.93}) {
     resex::OnlineStats lsRef;
     resex::Table table({"k", "target", "achieved", "staged-hops", "unscheduled",
@@ -77,6 +93,8 @@ int main() {
           lsRef.add(ls.rebalance(instance).after.bottleneckUtil);
         }
       }
+      if (load == 0.93 && k == 0 && completeCount != 0) pass = false;
+      if (load == 0.93 && k == 2 && completeCount != kSeeds) pass = false;
       char completeCell[16];
       std::snprintf(completeCell, sizeof completeCell, "%d/%d", completeCount, kSeeds);
       table.addRow({resex::Table::num(k), resex::Table::num(target.mean(), 4),
@@ -89,6 +107,12 @@ int main() {
                 load, lsRef.mean());
     table.print();
     std::printf("\n");
+  }
+  if (flags.boolean("check") && !pass) {
+    std::fprintf(stderr,
+                 "CHECK FAILED: at load 0.93 k=0 completed or k=2 did not "
+                 "complete 3/3\n");
+    return 1;
   }
   return 0;
 }

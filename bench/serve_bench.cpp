@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
   std::vector<Machine> machines(total);
   for (std::size_t i = 0; i < total; ++i) {
     machines[i].id = static_cast<MachineId>(i);
-    machines[i].isExchange = i >= regular;
     machines[i].capacity = ResourceVector{cpuCap, memCap};
   }
 

@@ -5,10 +5,17 @@
 // transient constraints. Expected shape: with exchange machines the
 // evacuation completes and survivors stay near the volume bound; with
 // none, tight clusters fail to evacuate (or strand the plan incomplete).
+//
+//   ./table9_failure [--check]
+//
+// --check exits nonzero unless every cell evacuates 3/3 and, at load 0.90,
+// k = 0 completes 0/3 while every k >= 1 completes 3/3.
 
 #include <cstdio>
+#include <iostream>
 
 #include "control/recovery.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/synthetic.hpp"
@@ -30,12 +37,21 @@ resex::Instance makeCluster(std::uint64_t seed, std::size_t k, double load) {
 }
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  resex::Flags flags;
+  flags.define("check", "false", "exit nonzero unless the exchange verdicts hold");
+  flags.parse(argc, argv);
+  if (flags.helpRequested()) {
+    std::cout << flags.helpText("table9_failure");
+    return 0;
+  }
+
   std::printf("== T9: machine-failure recovery vs exchange-machine count ==\n");
   std::printf("m=30 homogeneous, machine 1 fails, %d seeds per cell\n\n", kSeeds);
 
   resex::Table table({"load", "k", "evacuated", "complete", "survivor-bneck",
                       "staged-hops", "phases", "GB", "recovery-mins"});
+  bool pass = true;
   for (const double load : {0.75, 0.85, 0.90}) {
     for (const std::size_t k : {0u, 1u, 2u, 4u}) {
       int evacuated = 0;
@@ -60,6 +76,8 @@ int main() {
         gigabytes.add(r.rebalance.schedule.totalBytes / 1e9);
         minutes.add(r.estimatedSeconds / 60.0);
       }
+      if (evacuated != kSeeds) pass = false;
+      if (load == 0.90 && complete != (k == 0 ? 0 : kSeeds)) pass = false;
       char evacCell[16];
       char completeCell[16];
       std::snprintf(evacCell, sizeof evacCell, "%d/%d", evacuated, kSeeds);
@@ -75,5 +93,11 @@ int main() {
   table.print();
   std::printf("\n('evacuated' = the dead machine ends empty; 'survivor-bneck' = "
               "worst surviving machine after recovery)\n");
+  if (flags.boolean("check") && !pass) {
+    std::fprintf(stderr,
+                 "CHECK FAILED: a cell did not evacuate 3/3, or at load 0.90 k=0 "
+                 "completed or some k>=1 did not complete 3/3\n");
+    return 1;
+  }
   return 0;
 }

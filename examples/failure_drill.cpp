@@ -128,12 +128,13 @@ int main(int argc, char** argv) {
   exec.maxRetries = static_cast<std::size_t>(flags.integer("max-retries"));
   exec.maxReplans = static_cast<std::size_t>(flags.integer("max-replans"));
   exec.sra = config.sra;
-  // The victim corpse must keep not counting as compensation in replans.
-  exec.sra.vacancyTargetOverride = instance.exchangeCount() + 1;
 
   // -- Execute under faults, twice: the reports must match bit-for-bit. ---
+  // The victim stays crashed in every replan, so it never counts as
+  // compensation.
+  const resex::MachineId victims[] = {victim};
   const resex::Instance crippled =
-      resex::withFailedMachine(instance, victim, config.epsilonCapacity);
+      instance.afterCrash(victims, instance.initialAssignment());
   const resex::MigrationExecutor executor(exec);
   const resex::ExecutionReport run = executor.execute(crippled, r.rebalance.schedule, faults);
   const resex::ExecutionReport rerun =
@@ -172,10 +173,9 @@ int main(int argc, char** argv) {
   if (!sameRuns) fail("rerun with the same seeds diverged (nondeterminism)");
 
   // Every committed plan must replay cleanly against its own instance.
-  std::vector<resex::MachineId> dead;
   for (const resex::PlanRecord& plan : run.plans) {
-    const resex::Instance planInstance = resex::replanInstance(
-        crippled, plan.crashedBefore, plan.start, exec.epsilonCapacity);
+    const resex::Instance planInstance =
+        crippled.afterCrash(plan.crashedBefore, plan.start);
     const auto problems =
         resex::verifySchedule(planInstance, plan.start, plan.target, plan.committed);
     if (!problems.empty()) fail("committed phases do not verify: " + problems[0]);
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     resex::Assignment start(crippled);
     resex::Assignment after(crippled, run.finalMapping);
     for (resex::MachineId m = 0; m < crippled.machineCount(); ++m) {
-      bool dead = m == victim;
+      bool dead = crippled.machine(m).crashed;
       for (const resex::MachineId c : run.crashedMachines) dead |= (m == c);
       if (dead) continue;
       if (after.utilizationOf(m) > std::max(1.0, start.utilizationOf(m)) + 1e-9)

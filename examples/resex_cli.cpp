@@ -193,9 +193,9 @@ int cmdVerify(const Instance& instance, const std::string& solutionPath) {
   const BalanceMetrics metrics = measureBalance(state);
   std::printf("mapping:  %s\n", metrics.summary().c_str());
   std::size_t vacant = state.vacantCount();
-  const bool compensated = vacant >= instance.exchangeCount();
+  const bool compensated = vacant >= instance.vacancyTarget();
   std::printf("vacancy:  %zu vacant, %zu required -> %s\n", vacant,
-              instance.exchangeCount(), compensated ? "ok" : "VIOLATED");
+              instance.vacancyTarget(), compensated ? "ok" : "VIOLATED");
   if (!problems.empty()) {
     for (const auto& p : problems) std::printf("problem:  %s\n", p.c_str());
     return 1;

@@ -15,7 +15,7 @@ namespace resex {
 
 class Assignment {
  public:
-  /// Starts at the instance's initial placement (exchange machines vacant).
+  /// Starts at the instance's initial placement.
   explicit Assignment(const Instance& instance);
 
   /// Starts from an explicit mapping; entries may be kNoMachine.

@@ -28,6 +28,11 @@ Instance::Instance(std::size_t dims, std::vector<Machine> machines, std::vector<
   }
   buildReplicaIndex();
   validate();
+  for (Machine& mach : machines_) {
+    if (!mach.crashed) continue;
+    mach.capacity = ResourceVector(dims_, kCrashedCapacity);
+    ++crashedCount_;
+  }
 }
 
 void Instance::buildReplicaIndex() {
@@ -55,15 +60,11 @@ void Instance::validate() const {
   for (std::size_t d = 0; d < dims_; ++d)
     if (gamma_[d] < 0.0 || gamma_[d] > 1.0)
       throw std::invalid_argument("Instance: gamma components must be in [0,1]");
-  const std::size_t regular = machines_.size() - exchangeCount_;
   for (std::size_t i = 0; i < machines_.size(); ++i) {
     const Machine& mach = machines_[i];
     if (mach.id != i) throw std::invalid_argument("Instance: machine ids must be dense");
     if (mach.capacity.dims() != dims_)
       throw std::invalid_argument("Instance: machine capacity dims mismatch");
-    const bool shouldBeExchange = i >= regular;
-    if (mach.isExchange != shouldBeExchange)
-      throw std::invalid_argument("Instance: exchange machines must occupy the tail");
     for (std::size_t d = 0; d < dims_; ++d)
       if (mach.capacity[d] <= 0.0)
         throw std::invalid_argument("Instance: machine capacity must be positive");
@@ -79,8 +80,6 @@ void Instance::validate() const {
     const MachineId home = initial_[s];
     if (home >= machines_.size())
       throw std::invalid_argument("Instance: initial machine out of range");
-    if (machines_[home].isExchange)
-      throw std::invalid_argument("Instance: shard initially on exchange machine");
   }
   if (replicaGroup_.size() != shards_.size())
     throw std::invalid_argument("Instance: replica group size mismatch");
@@ -109,9 +108,30 @@ ResourceVector Instance::totalDemand() const noexcept {
 
 ResourceVector Instance::totalRegularCapacity() const noexcept {
   ResourceVector total(dims_);
-  for (const Machine& m : machines_)
-    if (!m.isExchange) total += m.capacity;
+  for (std::size_t i = 0; i < regularCount(); ++i) total += machines_[i].capacity;
   return total;
+}
+
+Instance Instance::withDemands(std::span<const ResourceVector> demands,
+                               std::vector<MachineId> placement) const {
+  if (demands.size() != shards_.size())
+    throw std::invalid_argument("Instance: one demand per shard required");
+  std::vector<Shard> shards = shards_;
+  for (ShardId s = 0; s < shards.size(); ++s) shards[s].demand = demands[s];
+  return Instance(dims_, machines_, std::move(shards), std::move(placement),
+                  exchangeCount_, gamma_, replicaGroup_);
+}
+
+Instance Instance::afterCrash(std::span<const MachineId> crashed,
+                              std::vector<MachineId> placement) const {
+  std::vector<Machine> machines = machines_;
+  for (const MachineId dead : crashed) {
+    if (dead >= machines.size())
+      throw std::invalid_argument("Instance: crashed machine out of range");
+    machines[dead].crashed = true;
+  }
+  return Instance(dims_, std::move(machines), shards_, std::move(placement),
+                  exchangeCount_, gamma_, replicaGroup_);
 }
 
 // Format:
@@ -122,6 +142,8 @@ ResourceVector Instance::totalRegularCapacity() const noexcept {
 //   <sku> <c0> ... <cd-1>          (one line per machine)
 //   shards <count>
 //   <home> <bytes> <w0> ... <wd-1> (one line per shard)
+//   replicas <g0> ... <gn-1>        (optional: replica group per shard)
+//   crashed <count> <m0> ...        (optional: crashed machine ids)
 std::string Instance::serialize() const {
   std::ostringstream out;
   out.precision(17);
@@ -145,6 +167,12 @@ std::string Instance::serialize() const {
   if (replicated_) {
     out << "replicas";
     for (const std::uint32_t g : replicaGroup_) out << ' ' << g;
+    out << "\n";
+  }
+  if (crashedCount_ > 0) {
+    out << "crashed " << crashedCount_;
+    for (const Machine& m : machines_)
+      if (m.crashed) out << ' ' << m.id;
     out << "\n";
   }
   return out.str();
@@ -176,10 +204,8 @@ Instance Instance::deserialize(const std::string& text) {
   if (token != "exchange") throw std::runtime_error("Instance: expected exchange");
 
   std::vector<Machine> machines(machineCount);
-  const std::size_t regular = machineCount - exchangeCount;
   for (std::size_t i = 0; i < machineCount; ++i) {
     machines[i].id = static_cast<MachineId>(i);
-    machines[i].isExchange = i >= regular;
     machines[i].capacity = ResourceVector(dims);
     in >> machines[i].sku;
     for (std::size_t d = 0; d < dims; ++d) in >> machines[i].capacity[d];
@@ -199,11 +225,25 @@ Instance Instance::deserialize(const std::string& text) {
   if (!in) throw std::runtime_error("Instance: truncated input");
 
   std::vector<std::uint32_t> replicaGroup;
-  if (in >> token) {
-    if (token != "replicas") throw std::runtime_error("Instance: unexpected section");
-    replicaGroup.resize(shardCount);
-    for (std::size_t s = 0; s < shardCount; ++s) in >> replicaGroup[s];
-    if (!in) throw std::runtime_error("Instance: truncated replica section");
+  while (in >> token) {
+    if (token == "replicas") {
+      replicaGroup.resize(shardCount);
+      for (std::size_t s = 0; s < shardCount; ++s) in >> replicaGroup[s];
+      if (!in) throw std::runtime_error("Instance: truncated replica section");
+    } else if (token == "crashed") {
+      std::size_t crashedCount = 0;
+      if (!(in >> crashedCount))
+        throw std::runtime_error("Instance: truncated crashed section");
+      for (std::size_t i = 0; i < crashedCount; ++i) {
+        MachineId dead = 0;
+        if (!(in >> dead)) throw std::runtime_error("Instance: truncated crashed section");
+        if (dead >= machineCount)
+          throw std::runtime_error("Instance: crashed machine out of range");
+        machines[dead].crashed = true;
+      }
+    } else {
+      throw std::runtime_error("Instance: unexpected section");
+    }
   }
 
   return Instance(dims, std::move(machines), std::move(shards), std::move(initial),

@@ -1,10 +1,11 @@
 // Instance: the complete statement of one RESEX problem.
 //
-// Machines (regular + trailing exchange machines), shards with demands and
-// migration sizes, the initial placement, the transient fractions gamma,
-// and the compensation requirement k (at least k machines vacant at the
-// end). Instances serialize to/from a line-oriented text format so that
-// experiments can be archived and replayed.
+// Machines, shards with demands and migration sizes, the initial
+// placement, the transient fractions gamma, and the compensation
+// requirement: k machines vacant at the end besides the crashed ones,
+// whichever machines those are. Instances serialize to/from a
+// line-oriented text format so that experiments can be archived and
+// replayed.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +19,19 @@
 
 namespace resex {
 
-/// A physical machine. Exchange machines are borrowed, start vacant, and
-/// sit at the tail of Instance::machines.
+/// Capacity, in every dimension, of a crashed machine: effectively zero,
+/// but positive so that utilizations stay finite.
+inline constexpr double kCrashedCapacity = 1e-6;
+
+/// A physical machine.
 struct Machine {
   MachineId id = 0;
   ResourceVector capacity;
-  bool isExchange = false;
+  /// A dead machine. The Instance collapses its capacity to
+  /// kCrashedCapacity, so every feasible end state evacuates it, and it
+  /// adds one required vacancy (Instance::vacancyTarget) so that the corpse
+  /// never counts as a returned machine.
+  bool crashed = false;
   /// SKU label (generators produce a small number of machine classes).
   std::uint32_t sku = 0;
 };
@@ -42,8 +50,7 @@ class Instance {
   Instance() = default;
 
   /// Constructs and validates; throws std::invalid_argument on a malformed
-  /// instance (dimension mismatches, initial placement on exchange machine,
-  /// shard ids out of order, ...).
+  /// instance (dimension mismatches, shard ids out of order, ...).
   Instance(std::size_t dims, std::vector<Machine> machines, std::vector<Shard> shards,
            std::vector<MachineId> initialAssignment, std::size_t exchangeCount,
            ResourceVector transientGamma);
@@ -59,17 +66,21 @@ class Instance {
   std::size_t dims() const noexcept { return dims_; }
   std::size_t machineCount() const noexcept { return machines_.size(); }
   std::size_t shardCount() const noexcept { return shards_.size(); }
-  /// Number of borrowed exchange machines (== required end-state vacancies).
+  /// k: machines that must be vacant at the end besides the crashed ones.
+  /// Any machines may be the vacant ones, not only the borrowed tail.
   std::size_t exchangeCount() const noexcept { return exchangeCount_; }
-  /// Regular (non-exchange) machine count.
+  /// Machines before the last k ids. Generators place shards only on these
+  /// and borrow the last k vacant; baselines and loadFactor() use the split.
   std::size_t regularCount() const noexcept { return machines_.size() - exchangeCount_; }
+  /// Vacant machines an end state needs: k plus one per crashed machine.
+  std::size_t vacancyTarget() const noexcept { return exchangeCount_ + crashedCount_; }
 
   const Machine& machine(MachineId id) const { return machines_.at(id); }
   const Shard& shard(ShardId id) const { return shards_.at(id); }
   const std::vector<Machine>& machines() const noexcept { return machines_; }
   const std::vector<Shard>& shards() const noexcept { return shards_; }
 
-  /// Initial machine of each shard (never an exchange machine).
+  /// Initial machine of each shard (any machine, the last k ids included).
   const std::vector<MachineId>& initialAssignment() const noexcept { return initial_; }
   MachineId initialMachineOf(ShardId s) const { return initial_.at(s); }
 
@@ -101,8 +112,20 @@ class Instance {
   /// Sum of all shard demands.
   ResourceVector totalDemand() const noexcept;
 
-  /// Sum of regular-machine capacities.
+  /// Sum of the first regularCount() machines' capacities.
   ResourceVector totalRegularCapacity() const noexcept;
+
+  // -- Derived instances (machine ids, k, gamma and replica groups kept) ----
+
+  /// A copy with one demand per shard and `placement` as the initial
+  /// assignment (an epoch's traffic over where the cluster stands).
+  Instance withDemands(std::span<const ResourceVector> demands,
+                       std::vector<MachineId> placement) const;
+  /// A copy with every machine in `crashed` marked crashed (a no-op for one
+  /// already crashed) and `placement` as the initial assignment: the
+  /// instance a recovery or a mid-flight replan solves.
+  Instance afterCrash(std::span<const MachineId> crashed,
+                      std::vector<MachineId> placement) const;
 
   /// Serialization: a stable, line-oriented text format (see instance.cpp).
   std::string serialize() const;
@@ -119,6 +142,7 @@ class Instance {
   std::vector<Shard> shards_;
   std::vector<MachineId> initial_;
   std::size_t exchangeCount_ = 0;
+  std::size_t crashedCount_ = 0;
   ResourceVector gamma_;
   std::vector<std::uint32_t> replicaGroup_;
   /// groupMembers_[g] = shard ids in group g (group ids are dense).

@@ -9,8 +9,8 @@ namespace resex {
 /// Index of a shard within an Instance (dense, 0-based).
 using ShardId = std::uint32_t;
 
-/// Index of a machine within an Instance (dense, 0-based; exchange machines
-/// occupy the tail of the machine array).
+/// Index of a machine within an Instance (dense, 0-based; generators put
+/// the borrowed exchange machines at the tail of the machine array).
 using MachineId = std::uint32_t;
 
 /// Sentinel for "shard not currently assigned to any machine".

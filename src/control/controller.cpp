@@ -11,18 +11,14 @@ Instance withObservedCpuDemand(const Instance& base,
                                const std::vector<double>& observedCpu) {
   if (observedCpu.size() != base.shardCount())
     throw std::invalid_argument("withObservedCpuDemand: one value per shard required");
-  std::vector<Shard> shards = base.shards();
-  for (ShardId s = 0; s < shards.size(); ++s) {
-    const double demand = observedCpu[s];
-    if (!(demand >= 0.0))
+  std::vector<ResourceVector> demands(base.shardCount());
+  for (ShardId s = 0; s < base.shardCount(); ++s) {
+    if (!(observedCpu[s] >= 0.0))
       throw std::invalid_argument("withObservedCpuDemand: demand must be >= 0");
-    shards[s].demand[0] = demand;
+    demands[s] = base.shard(s).demand;
+    demands[s][0] = observedCpu[s];
   }
-  std::vector<std::uint32_t> groups(base.shardCount());
-  for (ShardId s = 0; s < base.shardCount(); ++s) groups[s] = base.replicaGroupOf(s);
-  return Instance(base.dims(), base.machines(), std::move(shards),
-                  base.initialAssignment(), base.exchangeCount(),
-                  base.transientGamma(), std::move(groups));
+  return base.withDemands(demands, base.initialAssignment());
 }
 
 bool RebalanceTrigger::shouldRebalance(const BalanceMetrics& metrics,

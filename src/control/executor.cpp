@@ -22,34 +22,6 @@ void validateExecutorConfig(const ExecutorConfig& config) {
   if (config.migrationBandwidth <= 0.0)
     detail::throwConfigError("ExecutorConfig.migrationBandwidth", "> 0",
                              config.migrationBandwidth);
-  if (config.epsilonCapacity <= 0.0)
-    detail::throwConfigError("ExecutorConfig.epsilonCapacity", "> 0",
-                             config.epsilonCapacity);
-}
-
-Instance replanInstance(const Instance& instance,
-                        std::span<const MachineId> crashed,
-                        const std::vector<MachineId>& mapping,
-                        double epsilonCapacity) {
-  if (epsilonCapacity <= 0.0)
-    detail::throwConfigError("replanInstance.epsilonCapacity", "> 0",
-                             epsilonCapacity);
-  std::vector<Machine> machines = instance.machines();
-  for (Machine& mach : machines) mach.isExchange = false;
-  for (const MachineId dead : crashed) {
-    if (dead >= machines.size())
-      detail::throwConfigError("replanInstance.crashed", "a valid machine id",
-                               static_cast<double>(dead));
-    machines[dead].capacity = ResourceVector(instance.dims(), epsilonCapacity);
-  }
-  std::vector<std::uint32_t> groups;
-  if (instance.hasReplication()) {
-    groups.resize(instance.shardCount());
-    for (ShardId s = 0; s < instance.shardCount(); ++s)
-      groups[s] = instance.replicaGroupOf(s);
-  }
-  return Instance(instance.dims(), std::move(machines), instance.shards(), mapping,
-                  /*exchangeCount=*/0, instance.transientGamma(), std::move(groups));
 }
 
 namespace {
@@ -90,6 +62,8 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
   std::vector<MachineId> mapping = instance.initialAssignment();
   std::vector<MachineId> crashed;
   std::vector<char> isCrashed(instance.machineCount(), 0);
+  for (MachineId m = 0; m < instance.machineCount(); ++m)
+    isCrashed[m] = instance.machine(m).crashed;
 
   const std::size_t machineCount = instance.machineCount();
   const std::size_t dims = instance.dims();
@@ -339,7 +313,7 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
     isCrashed[crashMachine] = 1;
     crashed.push_back(crashMachine);
     report.crashedMachines.push_back(crashMachine);
-    capacity[crashMachine] = ResourceVector(dims, config_.epsilonCapacity);
+    capacity[crashMachine] = ResourceVector(dims, kCrashedCapacity);
     if (dataPlane) dataPlane->machineCrashed(crashMachine);
     registry.counter("executor.machine_crashes").add();
     finalizePlanRecord(record, mapping);
@@ -354,17 +328,10 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
     RESEX_TRACE_SPAN("executor.replan");
     ++report.replans;
     registry.counter("executor.replans").add();
-    const Instance crippled =
-        replanInstance(instance, crashed, mapping, config_.epsilonCapacity);
-    SraConfig sraConfig = config_.sra;
-    // The corpses must not masquerade as returned exchange machines. A
-    // pre-set override acts as the base (e.g. k+1 when the executed plan is
-    // itself a recovery around an earlier corpse); each crash adds one.
-    sraConfig.vacancyTargetOverride =
-        std::max(config_.sra.vacancyTargetOverride, instance.exchangeCount()) +
-        crashed.size();
-    Sra sra(sraConfig);
-    RebalanceResult result = sra.rebalance(crippled);
+    // Each corpse adds one required vacancy, so none masquerades as a
+    // returned exchange machine.
+    Sra sra(config_.sra);
+    RebalanceResult result = sra.rebalance(instance.afterCrash(crashed, mapping));
     bool evacuates = true;
     for (const MachineId m : result.targetMapping)
       if (isCrashed[m]) evacuates = false;

@@ -10,12 +10,12 @@
 //     mid-phase                already landed on it are lost, completed
 //                              copies *off* it still commit (the data is
 //                              safe on the target), the rest of the plan is
-//                              abandoned, and the executor REPLANS: the
-//                              crashed machine's capacity collapses to
-//                              epsilon and a fresh SRA pass computes an
-//                              evacuation schedule from the partially
-//                              committed mapping. Cascading crashes replan
-//                              again, up to maxReplans.
+//                              abandoned, and the executor REPLANS: a fresh
+//                              SRA pass solves Instance::afterCrash (every
+//                              crash so far flagged, the partially
+//                              committed mapping as the start) and computes
+//                              an evacuation schedule. Cascading crashes
+//                              replan again, up to maxReplans.
 //
 // Degradation is graceful by construction: when replanning fails or a
 // budget is exhausted the executor returns a valid partial result — the
@@ -25,8 +25,6 @@
 // prefix also stays within the copy-window allowance the scheduler proved
 // (see DESIGN.md "Failure model & execution semantics").
 #pragma once
-
-#include <span>
 
 #include "control/faults.hpp"
 #include "core/sra.hpp"
@@ -46,13 +44,10 @@ struct ExecutorConfig {
   std::size_t maxReplans = 2;
   /// Per-machine NIC bandwidth (bytes/second) for the simulated clock.
   double migrationBandwidth = 1.25e9;
-  /// Capacity a crashed machine keeps in the replanning instance.
-  double epsilonCapacity = 1e-6;
   /// Solver configuration of mid-flight replans. Keep polish off and
   /// iteration budgets bounded when bit-for-bit determinism matters
-  /// (polish is wall-clock bounded). sra.vacancyTargetOverride acts as the
-  /// *base* compensation target (defaulting to the instance's exchange
-  /// count); the executor adds one per machine crashed so far.
+  /// (polish is wall-clock bounded). The compensation target is the replan
+  /// instance's vacancyTarget(): k plus one per crashed machine.
   SraConfig sra;
 };
 
@@ -63,16 +58,16 @@ void validateExecutorConfig(const ExecutorConfig& config);
 /// One schedule the executor worked through: the original plan or a
 /// mid-flight replan. `committed` holds exactly the moves that switched
 /// over, phase by phase, with `complete`/`unscheduled` reflecting the
-/// outcome — so verifySchedule(replanInstance(...), start, target,
-/// committed) audits what actually happened.
+/// outcome — so verifySchedule(instance.afterCrash(crashedBefore, start),
+/// start, target, committed) audits what actually happened.
 struct PlanRecord {
   /// Mapping when the plan started executing.
   std::vector<MachineId> start;
   /// Mapping the plan aimed for (schedule end state plus its unscheduled
   /// intents).
   std::vector<MachineId> target;
-  /// Machines already dead when the plan started (its instance had these
-  /// collapsed to epsilon).
+  /// Machines that crashed during execution before the plan started (its
+  /// instance is the executed instance after these crashes).
   std::vector<MachineId> crashedBefore;
   Schedule committed;
 };
@@ -112,17 +107,6 @@ struct ExecutionReport {
 
   bool complete() const noexcept { return !degraded; }
 };
-
-/// The mid-flight replanning instance: `instance`'s machines with every id
-/// in `crashed` collapsed to `epsilonCapacity`, `mapping` as the initial
-/// placement, and *no* exchange designation — mid-migration a shard may
-/// legitimately sit on a borrowed machine, which Instance forbids for
-/// exchange-tagged tails. Callers restore the compensation constraint via
-/// SraConfig::vacancyTargetOverride (exchange count + crashed count).
-Instance replanInstance(const Instance& instance,
-                        std::span<const MachineId> crashed,
-                        const std::vector<MachineId>& mapping,
-                        double epsilonCapacity = 1e-6);
 
 class MigrationExecutor {
  public:

@@ -8,33 +8,9 @@
 namespace resex {
 
 void validateRecoveryConfig(const RecoveryConfig& config) {
-  if (config.epsilonCapacity <= 0.0)
-    detail::throwConfigError("RecoveryConfig.epsilonCapacity", "> 0",
-                             config.epsilonCapacity);
   if (config.migrationBandwidth <= 0.0)
     detail::throwConfigError("RecoveryConfig.migrationBandwidth", "> 0",
                              config.migrationBandwidth);
-}
-
-Instance withFailedMachine(const Instance& instance, MachineId failed,
-                           double epsilonCapacity) {
-  if (failed >= instance.machineCount())
-    throw std::invalid_argument("withFailedMachine: machine out of range");
-  if (epsilonCapacity <= 0.0)
-    throw std::invalid_argument("withFailedMachine: epsilon must be > 0");
-
-  std::vector<Machine> machines = instance.machines();
-  machines[failed].capacity = ResourceVector(instance.dims(), epsilonCapacity);
-
-  std::vector<std::uint32_t> groups;
-  if (instance.hasReplication()) {
-    groups.resize(instance.shardCount());
-    for (ShardId s = 0; s < instance.shardCount(); ++s)
-      groups[s] = instance.replicaGroupOf(s);
-  }
-  return Instance(instance.dims(), std::move(machines), instance.shards(),
-                  instance.initialAssignment(), instance.exchangeCount(),
-                  instance.transientGamma(), std::move(groups));
 }
 
 RecoveryResult recoverFromFailure(const Instance& instance, MachineId failed,
@@ -50,22 +26,14 @@ RecoveryResult recoverFromFailure(const Instance& instance,
   if (failed.empty())
     throw std::invalid_argument("recoverFromFailure: no failed machines given");
 
-  Instance crippled = withFailedMachine(instance, failed[0], config.epsilonCapacity);
-  for (std::size_t i = 1; i < failed.size(); ++i)
-    crippled = withFailedMachine(crippled, failed[i], config.epsilonCapacity);
-
-  const auto isFailed = [failed](MachineId m) {
-    return std::find(failed.begin(), failed.end(), m) != failed.end();
-  };
+  const Instance crippled = instance.afterCrash(failed, instance.initialAssignment());
+  const auto isFailed = [&crippled](MachineId m) { return crippled.machine(m).crashed; };
 
   RecoveryResult result;
   for (ShardId s = 0; s < instance.shardCount(); ++s)
     if (isFailed(instance.initialMachineOf(s))) ++result.shardsToEvacuate;
 
-  SraConfig sraConfig = config.sra;
-  // The evacuated machines must not count toward the compensation.
-  sraConfig.vacancyTargetOverride = instance.exchangeCount() + failed.size();
-  Sra sra(sraConfig);
+  Sra sra(config.sra);
   result.rebalance = sra.rebalance(crippled);
 
   result.evacuated = true;

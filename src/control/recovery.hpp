@@ -3,13 +3,12 @@
 // When a machine dies, its shards must land somewhere *now* — the most
 // stringent reassignment a datacenter faces, because every surviving
 // machine is already loaded and transient constraints still apply to the
-// re-replication copies. The failure is modelled by collapsing the dead
-// machine's capacity to epsilon: any feasible end state necessarily
-// evacuates it, and the scheduler may move shards off it freely (a dead
-// source imposes no constraints) but never onto it.
-//
-// The compensation target is raised to k+1 so the evacuated corpse does
-// not masquerade as one of the k returned exchange machines.
+// re-replication copies. The failure is modelled by Instance::afterCrash:
+// the dead machine is flagged crashed, so its capacity collapses to
+// kCrashedCapacity (any feasible end state evacuates it; the scheduler may
+// move shards off it freely but never onto it) and the instance's vacancy
+// target rises by one, so the evacuated corpse does not masquerade as one
+// of the k returned machines.
 #pragma once
 
 #include <span>
@@ -20,9 +19,6 @@ namespace resex {
 
 struct RecoveryConfig {
   SraConfig sra;
-  /// Capacity the failed machine keeps (must stay > 0 for model validity;
-  /// effectively zero).
-  double epsilonCapacity = 1e-6;
   /// Per-machine migration bandwidth used to estimate the recovery time
   /// (bytes/second; the default is a 10 Gbit/s NIC).
   double migrationBandwidth = 1.25e9;
@@ -44,25 +40,19 @@ struct RecoveryResult {
 
 /// Throws std::invalid_argument with a flag-style message naming the
 /// offending field and value when a parameter is out of range
-/// (epsilonCapacity <= 0, migrationBandwidth <= 0).
+/// (migrationBandwidth <= 0).
 void validateRecoveryConfig(const RecoveryConfig& config);
 
-/// Builds the failure-modelling instance: identical to `instance` but with
-/// machine `failed`'s capacity collapsed to epsilon in every dimension.
-/// Compose calls for cascading failures — collapsing an already-collapsed
-/// machine is a no-op.
-Instance withFailedMachine(const Instance& instance, MachineId failed,
-                           double epsilonCapacity = 1e-6);
-
 /// Plans and schedules the evacuation of `failed` plus the rebalancing of
-/// the survivors, using the exchange machines for headroom.
+/// the survivors, using the exchange machines for headroom. The plan is
+/// solved on instance.afterCrash(failed, instance.initialAssignment()).
 RecoveryResult recoverFromFailure(const Instance& instance, MachineId failed,
                                   const RecoveryConfig& config = {});
 
-/// Cascading variant: every machine in `failed` is collapsed at once and
-/// the compensation target rises to k + failed.size(), so none of the
-/// corpses masquerades as a returned exchange machine. shardsToEvacuate /
-/// evacuated / survivorBottleneck aggregate over all failed machines.
+/// Cascading variant: every machine in `failed` crashes at once, each
+/// adding one required vacancy, so none of the corpses masquerades as a
+/// returned exchange machine. shardsToEvacuate / evacuated /
+/// survivorBottleneck aggregate over all crashed machines.
 RecoveryResult recoverFromFailure(const Instance& instance,
                                   std::span<const MachineId> failed,
                                   const RecoveryConfig& config = {});

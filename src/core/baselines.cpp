@@ -57,7 +57,7 @@ RebalanceResult NoopRebalancer::rebalance(const Instance& instance) {
 RebalanceResult SwapLocalSearch::rebalance(const Instance& instance) {
   WallTimer timer;
   Assignment cur(instance);
-  const Objective objective(instance.exchangeCount());
+  const Objective objective(instance.vacancyTarget());
   const std::size_t regular = instance.regularCount();
   const ResourceVector& gamma = instance.transientGamma();
 
@@ -187,7 +187,7 @@ RebalanceResult SwapLocalSearch::rebalance(const Instance& instance) {
 RebalanceResult GreedyRebalancer::rebalance(const Instance& instance) {
   WallTimer timer;
   Assignment cur(instance);
-  const Objective objective(instance.exchangeCount());
+  const Objective objective(instance.vacancyTarget());
   const std::size_t regular = instance.regularCount();
 
   Schedule schedule;
@@ -240,7 +240,7 @@ RebalanceResult GreedyRebalancer::rebalance(const Instance& instance) {
 RebalanceResult FlowRebalancer::rebalance(const Instance& instance) {
   WallTimer timer;
   Assignment cur(instance);
-  const Objective objective(instance.exchangeCount());
+  const Objective objective(instance.vacancyTarget());
   const std::size_t regular = instance.regularCount();
 
   // Mean utilization over regular machines: the water level every machine

@@ -62,7 +62,7 @@ Objective Objective::forInstance(const Instance& instance, double spreadWeight,
                                  double bytesWeight) {
   double totalBytes = 0.0;
   for (const Shard& s : instance.shards()) totalBytes += s.moveBytes;
-  return Objective(instance.exchangeCount(), spreadWeight, bytesWeight, totalBytes);
+  return Objective(instance.vacancyTarget(), spreadWeight, bytesWeight, totalBytes);
 }
 
 double Objective::scalarize(const Score& score) const noexcept {

@@ -38,7 +38,7 @@ struct Score {
 
 class Objective {
  public:
-  /// `vacancyTarget` = required vacant machines at the end (instance k).
+  /// `vacancyTarget` = required vacant machines at the end.
   /// `spreadWeight` scales the mean-square term in the scalarization.
   /// `bytesWeight` scales the *fraction of total cluster bytes moved*
   /// (migratedBytes / bytesNormalizer) — pass the instance's total shard

@@ -26,7 +26,7 @@ RebalanceResult finalizeResult(const Instance& instance, std::string algorithm,
   result.schedule = scheduler.build(instance, start, result.targetMapping);
   result.finalMapping = applySchedule(start, result.schedule);
 
-  const Objective objective(instance.exchangeCount());
+  const Objective objective(instance.vacancyTarget());
   Assignment beforeState(instance);
   Assignment afterState(instance, result.finalMapping);
   result.before = measureBalance(beforeState);

@@ -10,14 +10,8 @@ namespace resex {
 RebalanceResult Sra::rebalance(const Instance& instance) {
   RESEX_TRACE_SPAN("sra.rebalance");
   WallTimer timer;
-  Objective objective =
+  const Objective objective =
       Objective::forInstance(instance, config_.spreadWeight, config_.bytesWeight);
-  if (config_.vacancyTargetOverride > 0) {
-    double totalBytes = 0.0;
-    for (const Shard& s : instance.shards()) totalBytes += s.moveBytes;
-    objective = Objective(config_.vacancyTargetOverride, config_.spreadWeight,
-                          config_.bytesWeight, totalBytes);
-  }
 
   std::vector<MachineId> target;
   if (config_.portfolioSearches > 1) {

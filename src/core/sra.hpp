@@ -4,8 +4,8 @@
 //   1. optimize the end-state assignment with (vacancy-constrained) LNS,
 //      optionally as a parallel multi-start portfolio; exchange machines
 //      are placement targets like any other, and the compensation
-//      constraint (>= k machines vacant at the end) is enforced through
-//      the objective's feasibility-first vacancy deficit;
+//      constraint (Instance::vacancyTarget machines vacant at the end) is
+//      enforced through the objective's feasibility-first vacancy deficit;
 //   2. synthesize a transient-feasible migration schedule, staging blocked
 //      moves through vacant machines;
 //   3. if the optimizer could not restore the vacancy constraint (deficit
@@ -32,10 +32,6 @@ struct SraConfig {
   bool polish = true;
   /// Wall-clock budget of the polish phase.
   double polishSeconds = 5.0;
-  /// Overrides the compensation target (vacant machines required at the
-  /// end). 0 = use the instance's exchange count. Failure recovery sets
-  /// this to k+1 so the evacuated machine does not count as a return.
-  std::size_t vacancyTargetOverride = 0;
 };
 
 class Sra final : public Rebalancer {

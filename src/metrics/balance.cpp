@@ -16,19 +16,24 @@ std::string BalanceMetrics::summary() const {
   return buf;
 }
 
-BalanceMetrics measureBalance(const Assignment& assignment, bool includeExchange) {
+BalanceMetrics measureBalance(const Assignment& assignment) {
   const Instance& instance = assignment.instance();
   BalanceMetrics out;
   out.perDimBottleneck.assign(instance.dims(), 0.0);
 
   std::vector<double> utils;
   utils.reserve(instance.machineCount());
+  std::size_t owedVacancies = instance.exchangeCount();
   for (MachineId m = 0; m < instance.machineCount(); ++m) {
     const double u = assignment.utilizationOf(m);
     out.bottleneckUtil = std::max(out.bottleneckUtil, u);
-    if (assignment.isVacant(m)) ++out.vacantMachines;
-    const bool counted = includeExchange || !instance.machine(m).isExchange;
-    if (counted) utils.push_back(u);
+    const bool vacant = assignment.isVacant(m);
+    if (vacant) ++out.vacantMachines;
+    const bool crashed = instance.machine(m).crashed;
+    if (!crashed && vacant && owedVacancies > 0)
+      --owedVacancies;
+    else if (!crashed)
+      utils.push_back(u);
     const ResourceVector& load = assignment.loadOf(m);
     const ResourceVector& cap = instance.machine(m).capacity;
     for (std::size_t d = 0; d < instance.dims(); ++d) {

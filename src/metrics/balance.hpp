@@ -34,9 +34,9 @@ struct BalanceMetrics {
   std::string summary() const;
 };
 
-/// Computes the metric snapshot. `includeExchange` controls whether vacant
-/// exchange machines dilute mean/CV/Jain (bottleneck always covers all
-/// machines).
-BalanceMetrics measureBalance(const Assignment& assignment, bool includeExchange = false);
+/// Computes the metric snapshot. Mean, CV and Jain leave out crashed
+/// machines and up to k vacant machines (the ones owed back as
+/// compensation, whichever they are); the bottleneck covers all machines.
+BalanceMetrics measureBalance(const Assignment& assignment);
 
 }  // namespace resex

@@ -7,7 +7,7 @@ namespace resex {
 
 double volumeLowerBound(const Instance& instance) {
   const std::size_t dims = instance.dims();
-  const std::size_t k = instance.exchangeCount();
+  const std::size_t k = instance.vacancyTarget();
   ResourceVector demand = instance.totalDemand();
 
   double bound = 0.0;

@@ -9,10 +9,10 @@
 
 namespace resex {
 
-/// Volume bound with compensation: any solution leaves >= k machines
-/// vacant, so per dimension r,
+/// Volume bound with compensation: any solution leaves >= v =
+/// vacancyTarget() machines vacant, so per dimension r,
 ///   Lambda >= totalDemand_r / (totalCapacity_r - cheapestRemovable_r)
-/// where cheapestRemovable_r is the sum of the k smallest capacities in
+/// where cheapestRemovable_r is the sum of the v smallest capacities in
 /// dimension r (an optimistic, hence valid, choice of vacated machines).
 double volumeLowerBound(const Instance& instance);
 

@@ -35,7 +35,7 @@ struct SearchState {
     }
     if (std::max(currentLambda, lowerBound) >= bestBottleneck - config->gapTolerance)
       return;
-    if (vacantNow < instance->exchangeCount()) return;  // vacancy can never recover
+    if (vacantNow < instance->vacancyTarget()) return;  // vacancy can never recover
 
     if (depth == order.size()) {
       bestBottleneck = currentLambda;
@@ -72,7 +72,7 @@ struct SearchState {
         }
         if (symmetric) continue;
         emptySeen.push_back(i);
-        if (vacantNow <= instance->exchangeCount()) continue;  // must stay vacant
+        if (vacantNow <= instance->vacancyTarget()) continue;  // must stay vacant
       }
       // Anti-affinity: no replica peer already assigned to this machine.
       if (instance->hasReplication()) {

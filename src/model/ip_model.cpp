@@ -92,7 +92,7 @@ IpModel::IpModel(const Instance& instance)
   // Compensation: at least k machines vacant, i.e. sum y_i <= m - k.
   LinearConstraint comp;
   comp.sense = LinearConstraint::Sense::LessEqual;
-  comp.rhs = static_cast<double>(m) - static_cast<double>(instance.exchangeCount());
+  comp.rhs = static_cast<double>(m) - static_cast<double>(instance.vacancyTarget());
   comp.name = "compensation";
   for (MachineId i = 0; i < m; ++i) {
     comp.vars.push_back(yVar(i));

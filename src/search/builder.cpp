@@ -70,7 +70,6 @@ Instance SearchWorkload::buildInstance(
   std::vector<Machine> machines(total);
   for (std::size_t i = 0; i < total; ++i) {
     machines[i].id = static_cast<MachineId>(i);
-    machines[i].isExchange = i >= regular;
     machines[i].sku = 0;
     machines[i].capacity = ResourceVector{cpuCapacityPerMachine_, memCapacityPerMachine_};
   }
@@ -86,34 +85,7 @@ Instance SearchWorkload::buildInstance(
 
   std::vector<MachineId> initial;
   if (currentMapping != nullptr) {
-    // The previous epoch may have left shards on exchange machines while
-    // draining regular ones (compensation returns *some* vacant machines,
-    // not necessarily the borrowed ones). Machines are homogeneous here,
-    // so relabel: occupied machines take the regular slots, vacant ones
-    // become this epoch's borrowed tail.
-    std::vector<bool> occupied(total, false);
-    for (const MachineId mach : *currentMapping) {
-      if (mach >= total)
-        throw std::invalid_argument("SearchWorkload: mapping id out of range");
-      occupied[mach] = true;
-    }
-    std::vector<MachineId> newIndex(total);
-    MachineId nextRegular = 0;
-    auto nextVacant = static_cast<MachineId>(regular);
-    for (MachineId mach = 0; mach < total; ++mach) {
-      if (occupied[mach]) {
-        if (nextRegular >= regular)
-          throw std::runtime_error("SearchWorkload: fewer vacant machines than exchange count");
-        newIndex[mach] = nextRegular++;
-      } else if (nextVacant < total) {
-        newIndex[mach] = nextVacant++;
-      } else {
-        newIndex[mach] = nextRegular++;  // extra vacant machines stay regular
-      }
-    }
-    initial.resize(currentMapping->size());
-    for (ShardId s = 0; s < currentMapping->size(); ++s)
-      initial[s] = newIndex[(*currentMapping)[s]];
+    initial = *currentMapping;
   } else {
     // Skewed feasible bring-up placement (same scheme as the synthetic
     // generator): weighted-random with a best-fit fallback.

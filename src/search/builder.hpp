@@ -57,9 +57,11 @@ class SearchWorkload {
   ResourceVector shardDemand(ShardId s, double qps) const;
 
   /// Builds a RESEX instance at `qps`. When `currentMapping` is null a
-  /// skewed feasible initial placement is generated (cluster bring-up);
-  /// otherwise the given mapping is carried over as the starting state
-  /// (epoch-to-epoch operation; it may be over capacity at the new QPS).
+  /// skewed feasible initial placement is generated on the first
+  /// config.machines machines (cluster bring-up; the exchangeMachines after
+  /// them start vacant); otherwise the given mapping is carried over as the
+  /// starting state with machine ids unchanged (epoch-to-epoch operation; it
+  /// may be over capacity at the new QPS, and any machines may be vacant).
   Instance buildInstance(double qps,
                          const std::vector<MachineId>* currentMapping = nullptr) const;
 

@@ -67,7 +67,6 @@ Instance generateSynthetic(const SyntheticConfig& config) {
     const double scale = std::pow(config.skuRatio, static_cast<double>(sku));
     machines[i].id = static_cast<MachineId>(i);
     machines[i].sku = sku;
-    machines[i].isExchange = i >= regular;
     machines[i].capacity = ResourceVector(dims, kBaseCapacity * scale);
   }
 

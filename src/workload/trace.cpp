@@ -24,66 +24,7 @@ double Trace::epochLoadFactor(std::size_t epoch) const {
 
 Instance Trace::instanceForEpoch(std::size_t epoch,
                                  const std::vector<MachineId>& currentMapping) const {
-  const auto& epochDemands = demands_.at(epoch);
-  if (currentMapping.size() != base_->shardCount())
-    throw std::invalid_argument("Trace: mapping size mismatch");
-
-  // The k machines that are vacant under currentMapping are "returned" and
-  // re-borrowed as this epoch's exchange machines: relabel them to the tail.
-  const std::size_t m = base_->machineCount();
-  const std::size_t k = base_->exchangeCount();
-  std::vector<bool> occupied(m, false);
-  for (const MachineId mach : currentMapping) {
-    if (mach == kNoMachine || mach >= m)
-      throw std::invalid_argument("Trace: mapping references unknown machine");
-    occupied[mach] = true;
-  }
-  std::vector<MachineId> vacant;
-  for (MachineId mach = 0; mach < m; ++mach)
-    if (!occupied[mach]) vacant.push_back(mach);
-  if (vacant.size() < k)
-    throw std::runtime_error("Trace: fewer vacant machines than the exchange count");
-  vacant.resize(k);
-
-  std::vector<bool> isReturned(m, false);
-  for (const MachineId mach : vacant) isReturned[mach] = true;
-
-  // newIndex[old] = position in the relabeled machine array.
-  std::vector<MachineId> newIndex(m, 0);
-  std::vector<Machine> machines;
-  machines.reserve(m);
-  for (MachineId mach = 0; mach < m; ++mach) {
-    if (isReturned[mach]) continue;
-    newIndex[mach] = static_cast<MachineId>(machines.size());
-    Machine copy = base_->machine(mach);
-    copy.id = newIndex[mach];
-    copy.isExchange = false;
-    machines.push_back(copy);
-  }
-  for (const MachineId mach : vacant) {
-    newIndex[mach] = static_cast<MachineId>(machines.size());
-    Machine copy = base_->machine(mach);
-    copy.id = newIndex[mach];
-    copy.isExchange = true;
-    machines.push_back(copy);
-  }
-
-  std::vector<Shard> shards(base_->shardCount());
-  std::vector<MachineId> initial(base_->shardCount());
-  for (ShardId s = 0; s < base_->shardCount(); ++s) {
-    shards[s] = base_->shard(s);
-    shards[s].demand = epochDemands[s];
-    initial[s] = newIndex[currentMapping[s]];
-  }
-
-  std::vector<std::uint32_t> groups;
-  if (base_->hasReplication()) {
-    groups.resize(base_->shardCount());
-    for (ShardId s = 0; s < base_->shardCount(); ++s)
-      groups[s] = base_->replicaGroupOf(s);
-  }
-  return Instance(base_->dims(), std::move(machines), std::move(shards), std::move(initial),
-                  k, base_->transientGamma(), std::move(groups));
+  return base_->withDemands(demands_.at(epoch), currentMapping);
 }
 
 Trace generateTrace(const Instance& base, const TraceConfig& config) {

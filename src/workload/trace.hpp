@@ -55,10 +55,13 @@ class Trace {
     return demands_.at(epoch).at(shard);
   }
 
-  /// Materializes epoch `epoch` as a full Instance whose initial assignment
-  /// is `currentMapping` (where the cluster actually is when the epoch
-  /// begins). The mapping may be capacity-infeasible under the new demands;
-  /// that is precisely the condition a rebalancer is invoked to fix.
+  /// Materializes epoch `epoch`: the base instance with this epoch's
+  /// demands and `currentMapping` (where the cluster actually is when the
+  /// epoch begins) as the initial assignment. Machine ids and k are the
+  /// base's, so a mapping a controller returns feeds straight back in,
+  /// whichever k machines it left vacant. The mapping may be
+  /// capacity-infeasible under the new demands; that is precisely the
+  /// condition a rebalancer is invoked to fix.
   Instance instanceForEpoch(std::size_t epoch,
                             const std::vector<MachineId>& currentMapping) const;
 

@@ -25,7 +25,6 @@ Instance replicatedInstance(std::size_t regular, std::size_t exchange,
   std::vector<Machine> machines(regular + exchange);
   for (std::size_t i = 0; i < machines.size(); ++i) {
     machines[i].id = static_cast<MachineId>(i);
-    machines[i].isExchange = i >= regular;
     machines[i].capacity = ResourceVector{cap, cap};
   }
   std::vector<Shard> shards(logicalSizes.size() * repl);

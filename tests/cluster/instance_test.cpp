@@ -18,8 +18,7 @@ TEST(Instance, BasicAccessors) {
   EXPECT_EQ(inst.regularCount(), 3u);
   EXPECT_EQ(inst.exchangeCount(), 2u);
   EXPECT_EQ(inst.shardCount(), 3u);
-  EXPECT_FALSE(inst.machine(0).isExchange);
-  EXPECT_TRUE(inst.machine(4).isExchange);
+  EXPECT_EQ(inst.vacancyTarget(), 2u);
   EXPECT_DOUBLE_EQ(inst.shard(1).demand[0], 20.0);
   EXPECT_EQ(inst.initialMachineOf(2), 2u);
 }
@@ -45,31 +44,6 @@ TEST(Instance, RejectsGammaOutOfRange) {
   std::vector<Machine> machines(1);
   machines[0].capacity = ResourceVector{10.0};
   EXPECT_THROW(Instance(1, machines, {}, {}, 0, ResourceVector{1.5}),
-               std::invalid_argument);
-}
-
-TEST(Instance, RejectsExchangeNotAtTail) {
-  std::vector<Machine> machines(2);
-  machines[0].id = 0;
-  machines[0].capacity = ResourceVector{10.0};
-  machines[0].isExchange = true;  // wrong: exchange must be last
-  machines[1].id = 1;
-  machines[1].capacity = ResourceVector{10.0};
-  EXPECT_THROW(Instance(1, machines, {}, {}, 1, ResourceVector{1.0}),
-               std::invalid_argument);
-}
-
-TEST(Instance, RejectsInitialOnExchangeMachine) {
-  std::vector<Machine> machines(2);
-  machines[0].id = 0;
-  machines[0].capacity = ResourceVector{10.0};
-  machines[1].id = 1;
-  machines[1].capacity = ResourceVector{10.0};
-  machines[1].isExchange = true;
-  std::vector<Shard> shards(1);
-  shards[0].id = 0;
-  shards[0].demand = ResourceVector{1.0};
-  EXPECT_THROW(Instance(1, machines, shards, {1}, 1, ResourceVector{1.0}),
                std::invalid_argument);
 }
 
@@ -120,6 +94,45 @@ TEST(Instance, SerializeRoundTrip) {
     EXPECT_EQ(copy.initialMachineOf(s), original.initialMachineOf(s));
   }
   EXPECT_EQ(copy.transientGamma(), original.transientGamma());
+}
+
+TEST(Instance, CrashCollapsesCapacityAndAddsAVacancy) {
+  const Instance inst = uniformInstance(4, 1, {10.0, 20.0, 30.0});
+  const MachineId crashed[] = {2};
+  std::vector<MachineId> placement = inst.initialAssignment();
+  placement[0] = 4;  // mid-plan: a shard already on the tail machine
+  const Instance crippled = inst.afterCrash(crashed, placement);
+  EXPECT_TRUE(crippled.machine(2).crashed);
+  EXPECT_FALSE(crippled.machine(1).crashed);
+  for (std::size_t d = 0; d < inst.dims(); ++d)
+    EXPECT_DOUBLE_EQ(crippled.machine(2).capacity[d], kCrashedCapacity);
+  EXPECT_EQ(crippled.machine(1).capacity, inst.machine(1).capacity);
+  EXPECT_EQ(crippled.exchangeCount(), 1u);
+  EXPECT_EQ(crippled.vacancyTarget(), 2u);
+  EXPECT_EQ(crippled.initialAssignment(), placement);
+  // Crashing an already-crashed machine changes nothing.
+  const Instance again = crippled.afterCrash(crashed, placement);
+  EXPECT_EQ(again.vacancyTarget(), 2u);
+  EXPECT_EQ(again.serialize(), crippled.serialize());
+  const MachineId outOfRange[] = {99};
+  EXPECT_THROW(inst.afterCrash(outOfRange, placement), std::invalid_argument);
+}
+
+TEST(Instance, CrashedRoundTripsThroughSerialize) {
+  const Instance inst = uniformInstance(4, 2, {10.0, 20.0, 30.0});
+  const MachineId crashed[] = {3, 1};
+  const Instance crippled = inst.afterCrash(crashed, inst.initialAssignment());
+  const std::string text = crippled.serialize();
+  EXPECT_NE(text.find("crashed 2 1 3"), std::string::npos) << text;
+  const Instance copy = Instance::deserialize(text);
+  EXPECT_TRUE(copy.machine(1).crashed);
+  EXPECT_TRUE(copy.machine(3).crashed);
+  EXPECT_FALSE(copy.machine(0).crashed);
+  EXPECT_EQ(copy.vacancyTarget(), 4u);
+  EXPECT_EQ(copy.machine(3).capacity, crippled.machine(3).capacity);
+  EXPECT_EQ(copy.serialize(), text);
+  const std::string truncated = text.substr(0, text.find("crashed 2 1") + 10);
+  EXPECT_THROW(Instance::deserialize(truncated), std::runtime_error);
 }
 
 TEST(Instance, DeserializeRejectsGarbage) {

@@ -33,7 +33,7 @@ TEST(SchedulerStaging, StagingPrefersSmallEnoughIntermediate) {
   std::vector<Machine> machines(3);
   machines[0] = {0, ResourceVector{100.0, 100.0}, false, 0};
   machines[1] = {1, ResourceVector{100.0, 100.0}, false, 0};
-  machines[2] = {2, ResourceVector{55.0, 55.0}, true, 1};
+  machines[2] = {2, ResourceVector{55.0, 55.0}, false, 1};
   std::vector<Shard> shards(2);
   shards[0] = {0, ResourceVector{60.0, 60.0}, 60.0};
   shards[1] = {1, ResourceVector{50.0, 50.0}, 50.0};

@@ -72,9 +72,6 @@ TEST(ExecutorConfigValidation, RejectsOutOfRangeParameters) {
   config = {};
   config.migrationBandwidth = -1.0;
   expectThrow(config, "migrationBandwidth");
-  config = {};
-  config.epsilonCapacity = 0.0;
-  expectThrow(config, "epsilonCapacity");
   EXPECT_NO_THROW(validateExecutorConfig(ExecutorConfig{}));
 }
 
@@ -128,17 +125,39 @@ TEST(FaultInjector, DrawsAreDeterministicAndOrderIndependent) {
   EXPECT_TRUE(FaultInjector(plan).copyAttemptFails(0, 0, 0));
 }
 
-TEST(ReplanInstance, CollapsesCrashedAndDropsExchangeTags) {
-  const Instance inst = cluster(7);
+TEST(Replan, CompensatesWithAnyVacantMachinesMidPlan) {
+  // Mid-plan, regular machine 0 has drained onto tail machine 10, so the
+  // vacant machines are 0 and 11, not the borrowed tail; then machine 3
+  // dies. The replan keeps k, may leave the tail occupied, and must end
+  // with k vacant live machines besides the corpse.
+  const Instance inst = cluster(9);
   std::vector<MachineId> mapping = inst.initialAssignment();
-  mapping[0] = static_cast<MachineId>(inst.machineCount() - 1);  // on exchange
+  const auto tail = static_cast<MachineId>(inst.regularCount());
+  for (MachineId& m : mapping)
+    if (m == 0) m = tail;
+  ASSERT_NE(mapping, inst.initialAssignment());
   const MachineId crashed[] = {3};
-  const Instance replan = replanInstance(inst, crashed, mapping, 1e-6);
-  for (std::size_t d = 0; d < inst.dims(); ++d)
-    EXPECT_DOUBLE_EQ(replan.machine(3).capacity[d], 1e-6);
-  EXPECT_EQ(replan.exchangeCount(), 0u);  // mid-flight shards may sit anywhere
-  EXPECT_EQ(replan.initialAssignment(), mapping);
-  EXPECT_EQ(replan.machine(0).capacity, inst.machine(0).capacity);
+  const Instance replan = inst.afterCrash(crashed, mapping);
+  EXPECT_EQ(replan.exchangeCount(), inst.exchangeCount());
+  EXPECT_EQ(replan.vacancyTarget(), inst.exchangeCount() + 1);
+
+  const RebalanceResult r = planFor(replan, 9);
+  ASSERT_TRUE(r.scheduleComplete());
+  EXPECT_TRUE(verifySchedule(replan, mapping, r.targetMapping, r.schedule).empty());
+  const Assignment after(replan, r.finalMapping);
+  EXPECT_TRUE(after.isVacant(3));
+  std::size_t vacantLive = 0;
+  for (MachineId m = 0; m < replan.machineCount(); ++m)
+    if (m != 3 && after.isVacant(m)) ++vacantLive;
+  EXPECT_GE(vacantLive, inst.exchangeCount());
+
+  // The corpse cannot crash again: the executor runs the plan as is.
+  FaultPlan faults;
+  faults.crashes.push_back(MachineCrashEvent{3, 0, 0.5});
+  const ExecutionReport run =
+      MigrationExecutor(fastExecutor(9)).execute(replan, r.schedule, faults);
+  EXPECT_TRUE(run.crashedMachines.empty());
+  EXPECT_EQ(run.finalMapping, r.finalMapping);
 }
 
 TEST(Executor, CleanRunMatchesThePlan) {
@@ -227,8 +246,7 @@ TEST(Executor, CrashTriggersReplanAndSurvivorsStayValid) {
   }
   // Every committed plan replays cleanly against its own instance.
   for (const PlanRecord& record : run.plans) {
-    const Instance planInst =
-        replanInstance(inst, record.crashedBefore, record.start, 1e-6);
+    const Instance planInst = inst.afterCrash(record.crashedBefore, record.start);
     EXPECT_TRUE(
         verifySchedule(planInst, record.start, record.target, record.committed)
             .empty());

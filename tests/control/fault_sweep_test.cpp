@@ -83,9 +83,7 @@ void runSweepCase(const SweepCase& sweep) {
   // Committed plans replay cleanly; their byte totals add up.
   double committedTotal = 0.0;
   for (const PlanRecord& record : run.plans) {
-    const Instance planInst =
-        replanInstance(inst, record.crashedBefore, record.start,
-                       config.epsilonCapacity);
+    const Instance planInst = inst.afterCrash(record.crashedBefore, record.start);
     const auto problems =
         verifySchedule(planInst, record.start, record.target, record.committed);
     EXPECT_TRUE(problems.empty()) << (problems.empty() ? "" : problems[0]);

@@ -19,6 +19,11 @@ Instance cluster(std::uint64_t seed, std::size_t exchange, double load = 0.75) {
   return generateSynthetic(gen);
 }
 
+Instance crash(const Instance& inst, MachineId failed) {
+  const MachineId crashed[] = {failed};
+  return inst.afterCrash(crashed, inst.initialAssignment());
+}
+
 RecoveryConfig fastRecovery() {
   RecoveryConfig config;
   config.sra.lns.maxIterations = 4000;
@@ -27,9 +32,9 @@ RecoveryConfig fastRecovery() {
 
 TEST(FailedMachine, CapacityCollapses) {
   const Instance inst = cluster(1, 2);
-  const Instance crippled = withFailedMachine(inst, 3);
+  const Instance crippled = crash(inst, 3);
   for (std::size_t d = 0; d < inst.dims(); ++d)
-    EXPECT_DOUBLE_EQ(crippled.machine(3).capacity[d], 1e-6);
+    EXPECT_DOUBLE_EQ(crippled.machine(3).capacity[d], kCrashedCapacity);
   // Everything else untouched.
   EXPECT_EQ(crippled.machine(0).capacity, inst.machine(0).capacity);
   EXPECT_EQ(crippled.shardCount(), inst.shardCount());
@@ -38,8 +43,8 @@ TEST(FailedMachine, CapacityCollapses) {
 
 TEST(FailedMachine, RejectsBadArguments) {
   const Instance inst = cluster(2, 1);
-  EXPECT_THROW(withFailedMachine(inst, 999), std::invalid_argument);
-  EXPECT_THROW(withFailedMachine(inst, 0, 0.0), std::invalid_argument);
+  EXPECT_THROW(crash(inst, 999), std::invalid_argument);
+  EXPECT_THROW(recoverFromFailure(inst, 999, fastRecovery()), std::invalid_argument);
 }
 
 TEST(Recovery, EvacuatesTheFailedMachine) {
@@ -76,7 +81,7 @@ TEST(Recovery, ScheduleIsTransientValid) {
   const Instance inst = cluster(6, 2);
   const RecoveryResult r = recoverFromFailure(inst, 0, fastRecovery());
   ASSERT_TRUE(r.evacuated);
-  const Instance crippled = withFailedMachine(inst, 0);
+  const Instance crippled = crash(inst, 0);
   EXPECT_TRUE(verifySchedule(crippled, crippled.initialAssignment(),
                              r.rebalance.targetMapping, r.rebalance.schedule)
                   .empty());
@@ -109,16 +114,6 @@ TEST(Recovery, ExchangeMachinesMakeTightRecoveryPossible) {
 
 TEST(RecoveryConfigValidation, RejectsBadParametersNamingTheField) {
   RecoveryConfig config;
-  config.epsilonCapacity = 0.0;
-  try {
-    validateRecoveryConfig(config);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("RecoveryConfig.epsilonCapacity"), std::string::npos) << what;
-    EXPECT_NE(what.find("'0'"), std::string::npos) << what;
-  }
-  config = {};
   config.migrationBandwidth = -5.0;
   try {
     validateRecoveryConfig(config);
@@ -133,21 +128,23 @@ TEST(RecoveryConfigValidation, RejectsBadParametersNamingTheField) {
   // recoverFromFailure validates at entry.
   const Instance inst = cluster(20, 1);
   RecoveryConfig bad;
-  bad.epsilonCapacity = -1.0;
+  bad.migrationBandwidth = 0.0;
   EXPECT_THROW(recoverFromFailure(inst, 0, bad), std::invalid_argument);
 }
 
 TEST(FailedMachine, ComposesForCascadingCrashes) {
   const Instance inst = cluster(21, 2);
-  const Instance twice = withFailedMachine(withFailedMachine(inst, 3), 7);
+  const Instance twice = crash(crash(inst, 3), 7);
   for (std::size_t d = 0; d < inst.dims(); ++d) {
-    EXPECT_DOUBLE_EQ(twice.machine(3).capacity[d], 1e-6);
-    EXPECT_DOUBLE_EQ(twice.machine(7).capacity[d], 1e-6);
+    EXPECT_DOUBLE_EQ(twice.machine(3).capacity[d], kCrashedCapacity);
+    EXPECT_DOUBLE_EQ(twice.machine(7).capacity[d], kCrashedCapacity);
   }
   EXPECT_EQ(twice.machine(0).capacity, inst.machine(0).capacity);
-  // Collapsing an already-collapsed machine is a no-op.
-  const Instance thrice = withFailedMachine(twice, 3);
-  EXPECT_DOUBLE_EQ(thrice.machine(3).capacity[0], 1e-6);
+  EXPECT_EQ(twice.vacancyTarget(), inst.exchangeCount() + 2);
+  // Crashing an already-crashed machine is a no-op: no extra vacancy.
+  const Instance thrice = crash(twice, 3);
+  EXPECT_DOUBLE_EQ(thrice.machine(3).capacity[0], kCrashedCapacity);
+  EXPECT_EQ(thrice.vacancyTarget(), twice.vacancyTarget());
 }
 
 TEST(Recovery, MultiFailureEvacuatesEveryCorpse) {
@@ -208,7 +205,7 @@ TEST(Recovery, ReplicatedClusterKeepsAntiAffinityThroughRecovery) {
   const Instance inst = generateSynthetic(gen);
   const RecoveryResult r = recoverFromFailure(inst, 4, fastRecovery());
   ASSERT_TRUE(r.evacuated);
-  const Instance crippled = withFailedMachine(inst, 4);
+  const Instance crippled = crash(inst, 4);
   Assignment after(crippled, r.rebalance.finalMapping);
   const auto problems = after.validate(/*requireCapacity=*/false);
   for (const auto& p : problems)

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/test_instances.hpp"
+#include "core/sra.hpp"
+#include "workload/synthetic.hpp"
 
 namespace resex {
 namespace {
@@ -56,12 +58,47 @@ TEST(Balance, VacantCountIncludesExchange) {
 }
 
 TEST(Balance, ExchangeMachinesExcludedFromMeanByDefault) {
-  const Instance inst = uniformInstance(2, 2, {50.0, 50.0});
-  Assignment a(inst);
-  const BalanceMetrics without = measureBalance(a, /*includeExchange=*/false);
-  const BalanceMetrics with = measureBalance(a, /*includeExchange=*/true);
-  EXPECT_DOUBLE_EQ(without.meanUtil, 0.5);
-  EXPECT_DOUBLE_EQ(with.meanUtil, 0.25);  // two vacant machines dilute
+  // The k vacant machines owed back do not dilute mean/CV/Jain; vacant
+  // machines beyond k do.
+  const Instance owed = uniformInstance(2, 2, {50.0, 50.0});
+  EXPECT_DOUBLE_EQ(measureBalance(Assignment(owed)).meanUtil, 0.5);
+  const Instance spare = placedInstance(4, 0, {50.0, 50.0}, {0, 1});
+  EXPECT_DOUBLE_EQ(measureBalance(Assignment(spare)).meanUtil, 0.25);
+  // Which machines are vacant does not matter: a loaded tail machine
+  // counts, a vacant regular machine is left out.
+  const Instance moved = placedInstance(2, 2, {50.0, 50.0}, {0, 3});
+  const BalanceMetrics m = measureBalance(Assignment(moved));
+  EXPECT_DOUBLE_EQ(m.meanUtil, 0.5);
+  EXPECT_NEAR(m.utilCv, 0.0, 1e-12);
+}
+
+TEST(Balance, CrashedMachinesExcludedFromMean) {
+  const Instance inst = uniformInstance(3, 1, {50.0, 50.0});
+  const MachineId crashed[] = {2};
+  const Instance crippled = inst.afterCrash(crashed, inst.initialAssignment());
+  const BalanceMetrics m = measureBalance(Assignment(crippled));
+  EXPECT_DOUBLE_EQ(m.meanUtil, 0.5);
+  EXPECT_EQ(m.vacantMachines, 2u);
+}
+
+TEST(Balance, SraEndStateCvLeavesOutTheVacatedMachines) {
+  // SRA's end states often load tail machines and vacate regular ones; the
+  // CV must describe the loaded machines, not the k returned vacancies.
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    SyntheticConfig gen;
+    gen.seed = seed;
+    gen.machines = 20;
+    gen.exchangeMachines = 2;
+    gen.loadFactor = 0.85;
+    const Instance inst = generateSynthetic(gen);
+    SraConfig config;
+    config.lns.seed = seed;
+    config.lns.maxIterations = 4000;
+    config.polish = false;
+    const RebalanceResult r = Sra(config).rebalance(inst);
+    ASSERT_TRUE(r.scheduleComplete());
+    EXPECT_LT(r.after.utilCv, 0.01) << "seed " << seed;
+  }
 }
 
 TEST(Balance, InfeasibleWhenOverCapacity) {

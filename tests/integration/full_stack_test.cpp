@@ -76,7 +76,6 @@ struct Stack {
     std::vector<Machine> machineList(machines + exchange);
     for (std::size_t i = 0; i < machineList.size(); ++i) {
       machineList[i].id = static_cast<MachineId>(i);
-      machineList[i].isExchange = i >= machines;
       machineList[i].capacity = ResourceVector{cpuCap, memCap};
     }
     // Skewed start: first machines take several shards each.

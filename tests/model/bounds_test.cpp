@@ -29,7 +29,7 @@ TEST(Bounds, VolumeBoundPicksSmallestMachinesToVacate) {
   std::vector<Machine> machines(3);
   machines[0] = {0, ResourceVector{100.0}, false, 0};
   machines[1] = {1, ResourceVector{400.0}, false, 1};
-  machines[2] = {2, ResourceVector{100.0}, true, 0};
+  machines[2] = {2, ResourceVector{100.0}, false, 0};
   std::vector<Shard> shards(1);
   shards[0] = {0, ResourceVector{100.0}, 1.0};
   const Instance inst(1, std::move(machines), std::move(shards), {0}, 1,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/assignment.hpp"
+#include "control/controller.hpp"
 #include "workload/synthetic.hpp"
 
 namespace resex {
@@ -75,33 +76,41 @@ TEST(Trace, InstanceForEpochCarriesMappingOver) {
   EXPECT_TRUE(anyDiffer);
 }
 
-TEST(Trace, InstanceForEpochRelabelsVacantToTail) {
-  const Instance base = baseInstance();
-  const Trace trace = generateTrace(base, fastConfig());
-  // Build a mapping that drains regular machine 0 onto machine 1 and
-  // occupies exchange machine (regularCount) instead.
-  std::vector<MachineId> mapping = base.initialAssignment();
-  const auto firstExchange = static_cast<MachineId>(base.regularCount());
-  for (MachineId& m : mapping)
-    if (m == 0) m = firstExchange;
-  const Instance epoch = trace.instanceForEpoch(2, mapping);
-  // Valid instance (constructor validates: no shard on exchange machines).
-  Assignment a(epoch);
-  EXPECT_TRUE(a.validate(/*requireCapacity=*/false).empty());
-  // Exactly k machines are exchange and they are vacant.
-  for (MachineId m = static_cast<MachineId>(epoch.regularCount());
-       m < epoch.machineCount(); ++m)
-    EXPECT_TRUE(a.isVacant(m));
-}
+TEST(Trace, InstanceForEpochKeepsMachineIds) {
+  // Heterogeneous machines: were ids renumbered across the epoch boundary,
+  // shards would change host capacity without moving.
+  SyntheticConfig gen;
+  gen.seed = 3;
+  gen.machines = 12;
+  gen.exchangeMachines = 2;
+  gen.shardsPerMachine = 20.0;
+  gen.skuCount = 3;
+  gen.loadFactor = 0.7;
+  const Instance base = generateSynthetic(gen);
+  TraceConfig traceConfig = fastConfig();
+  traceConfig.epochs = 3;
+  const Trace trace = generateTrace(base, traceConfig);
 
-TEST(Trace, InstanceForEpochRejectsTooFewVacant) {
-  const Instance base = baseInstance();
-  const Trace trace = generateTrace(base, fastConfig());
-  // Occupy every machine including all exchange machines.
+  ControllerConfig config;
+  config.trigger.always = true;
+  config.trigger.cooldownEpochs = 0;
+  config.sra.lns.maxIterations = 1500;
+  config.sra.polish = false;
+  ClusterController controller(config);
   std::vector<MachineId> mapping = base.initialAssignment();
-  for (MachineId m = 0; m < base.machineCount() && m < mapping.size(); ++m)
-    mapping[m] = m;
-  EXPECT_THROW(trace.instanceForEpoch(0, mapping), std::runtime_error);
+  for (std::size_t e = 0; e + 1 < trace.epochCount(); ++e) {
+    const Instance inst = trace.instanceForEpoch(e, mapping);
+    controller.step(inst);
+    mapping = controller.mapping();  // handed back the way fig11_controller does
+    const Instance next = trace.instanceForEpoch(e + 1, mapping);
+    std::size_t changedHost = 0;
+    for (ShardId s = 0; s < base.shardCount(); ++s)
+      if (!(next.machine(next.initialMachineOf(s)).capacity ==
+            inst.machine(mapping[s]).capacity))
+        ++changedHost;
+    EXPECT_EQ(changedHost, 0u) << "epoch " << e;
+    EXPECT_EQ(next.exchangeCount(), base.exchangeCount());
+  }
 }
 
 TEST(Trace, RejectsBadConfig) {
