@@ -117,11 +117,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  const auto partitions = static_cast<std::size_t>(flags.integer("partitions"));
-  const auto machineCount = static_cast<std::size_t>(flags.integer("machines"));
-  const auto epochs = static_cast<std::size_t>(flags.integer("epochs"));
-  const auto queriesPerEpoch = static_cast<std::size_t>(flags.integer("queries"));
+  const auto seed = flags.count<std::uint64_t>("seed");
+  const auto partitions = flags.count("partitions");
+  const auto machineCount = flags.count("machines");
+  const auto epochs = flags.count("epochs");
+  const auto queriesPerEpoch = flags.count("queries");
   const double serviceFixed = flags.real("service-fixed-us") * 1e-6;
   const double servicePerPosting = flags.real("service-per-posting-us") * 1e-6;
   const auto crashEpoch = flags.integer("crash-epoch");
@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   // -- Corpus, skewed partitions, query traces ----------------------------
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
-  docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  docConfig.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  docConfig.docCount = flags.count<std::uint32_t>("docs");
+  docConfig.termCount = flags.count<std::uint32_t>("terms");
   const auto documents = generateDocuments(docConfig);
   Rng rng(seed ^ 0x5eedULL);
   std::vector<double> weights(partitions);
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   serveConfig.topK = topK;
   serveConfig.serviceFixedSeconds = serviceFixed;
   serveConfig.servicePerPostingSeconds = servicePerPosting;
-  serveConfig.cacheCapacity = static_cast<std::size_t>(flags.integer("cache"));
+  serveConfig.cacheCapacity = flags.count("cache");
   serveConfig.seed = seed;
   serve::QueryBroker broker(instance, initial, index, serveConfig,
                             cluster.shardIndexes());
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
 
   // -- The day -------------------------------------------------------------
   const DiurnalModel diurnal{1.0, flags.real("amplitude"), 14.0, 0.15};
-  const auto clients = static_cast<std::size_t>(flags.integer("clients"));
+  const auto clients = flags.count("clients");
   std::atomic<bool> migrating{false};
   std::atomic<std::uint64_t> incorrect{0}, wronglyEmpty{0};
   std::vector<double> steadyLatencies, migrationLatencies;

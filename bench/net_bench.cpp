@@ -316,18 +316,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  const auto partitions = static_cast<std::size_t>(flags.integer("partitions"));
-  const auto machineCount = std::min(
-      static_cast<std::size_t>(flags.integer("machines")), partitions);
+  const auto seed = flags.count<std::uint64_t>("seed");
+  const auto partitions = flags.count("partitions");
+  const auto machineCount = std::min(flags.count("machines"), partitions);
 
   // -- Corpus, index, instance ---------------------------------------------
   // Deliberately tiny: the subject is the transport, not the kernel. The
   // result cache makes steady state execution-free (see header comment).
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
-  docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  docConfig.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  docConfig.docCount = flags.count<std::uint32_t>("docs");
+  docConfig.termCount = flags.count<std::uint32_t>("terms");
   const auto documents = generateDocuments(docConfig);
   const PartitionedIndex index(docConfig.termCount, documents, partitions);
 
@@ -351,7 +350,7 @@ int main(int argc, char** argv) {
                           ResourceVector{0.5, 1.0});
 
   // -- Trace pool: Zipf term draws, Zipf pool popularity -------------------
-  const auto poolSize = static_cast<std::size_t>(flags.integer("queries"));
+  const auto poolSize = flags.count("queries");
   const ZipfSampler termPick(docConfig.termCount, 0.9);
   Rng traceRng(seed + 101);
   std::vector<std::vector<TermId>> pool(poolSize);
@@ -360,7 +359,7 @@ int main(int argc, char** argv) {
       query.push_back(static_cast<TermId>(termPick.sample(traceRng) - 1));
 
   serve::ServeConfig config;
-  config.topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  config.topK = flags.count<std::uint32_t>("topk");
   config.deadlineSeconds = 0.0;  // all-partition answers: oracle-comparable
   config.workersPerMachine = 1;
   config.cacheCapacity = std::max<std::size_t>(4096, 2 * poolSize);
@@ -369,7 +368,7 @@ int main(int argc, char** argv) {
   serve::SearchService service(broker);
   net::ServerConfig netConfig;
   netConfig.port = 0;
-  netConfig.shards = static_cast<std::size_t>(flags.integer("net-shards"));
+  netConfig.shards = flags.count("net-shards");
   net::Server server(netConfig, service.handler());
   server.start();
   std::printf("serving %zu partitions on 127.0.0.1:%u (%s backend)\n",
@@ -379,8 +378,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> expected =
       buildOracle(instance, mapping, index, config, pool);
 
-  const auto connections =
-      static_cast<std::size_t>(flags.integer("connections"));
+  const auto connections = flags.count("connections");
   LoadGen gen(server.port(), connections, pool, expected);
 
   // -- Warmup: touch every distinct query once (fills the server cache and
@@ -388,12 +386,10 @@ int main(int argc, char** argv) {
   gen.runPipelined(poolSize);
 
   // -- Serial vs pipelined throughput --------------------------------------
-  const auto serialTotal =
-      static_cast<std::size_t>(flags.integer("serial-requests"));
+  const auto serialTotal = flags.count("serial-requests");
   const double serialWall = gen.runSerial(serialTotal);
   const double serialQps = static_cast<double>(serialTotal) / serialWall;
-  const auto pipeTotal =
-      static_cast<std::size_t>(flags.integer("pipeline-requests"));
+  const auto pipeTotal = flags.count("pipeline-requests");
   const double pipeWall = gen.runPipelined(pipeTotal);
   const double pipeQps = static_cast<double>(pipeTotal) / pipeWall;
   std::printf("serial %zu reqs in %.3fs = %.0f qps | pipelined %zu reqs in "
@@ -416,8 +412,7 @@ int main(int argc, char** argv) {
   for (auto& pick : picks)
     pick = static_cast<std::uint32_t>(poolPick.sample(pickRng) - 1);
 
-  const auto reps =
-      std::max<std::size_t>(1, static_cast<std::size_t>(flags.integer("reps")));
+  const auto reps = std::max<std::size_t>(1, flags.count("reps"));
   struct Arm {
     double p50 = 0.0, p99 = 0.0, p999 = 0.0, sustained = 0.0;
     std::vector<double> repP99;

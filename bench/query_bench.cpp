@@ -10,9 +10,8 @@
 //     VByte vs the bit-packed block codec.
 //   * End-to-end query throughput: QPS over one shared Zipf trace for the
 //     old kernel vs the serving kernel (the exhaustive block-decoding scan
-//     every broker worker runs), with the library's MaxScore and WAND
-//     paths for context. The serving kernel runs through a caller-owned
-//     QueryScratch, so the measured loop is allocation-free.
+//     every broker worker runs). The serving kernel runs through a
+//     caller-owned QueryScratch, so the measured loop is allocation-free.
 //   * Work: blocks decoded and postings scanned by the serving kernel
 //     against the old kernel's exhaustive count.
 //
@@ -45,12 +44,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/maxscore.hpp"
 #include "index/partition.hpp"
 #include "index/segment.hpp"
 #include "index/simd_unpack.hpp"
 #include "index/varbyte.hpp"
-#include "index/wand.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
 #include "util/timer.hpp"
@@ -171,9 +168,9 @@ int main(int argc, char** argv) {
   }
 
   SyntheticDocConfig docConfig;
-  docConfig.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  docConfig.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  docConfig.seed = flags.count<std::uint64_t>("seed");
+  docConfig.docCount = flags.count<std::uint32_t>("docs");
+  docConfig.termCount = flags.count<std::uint32_t>("terms");
   docConfig.termExponent = 1.05;
   const auto documents = generateDocuments(docConfig);
   WallTimer buildTimer;
@@ -267,10 +264,10 @@ int main(int argc, char** argv) {
 
   // -- Shared trace (serve_bench shape: 2-term Zipf below the stopword
   //    head, so no single query is dominated by a degenerate head list) --
-  const auto queryCount = static_cast<std::size_t>(flags.integer("queries"));
-  const auto k = static_cast<std::size_t>(flags.integer("topk"));
+  const auto queryCount = flags.count("queries");
+  const auto k = flags.count("topk");
   const auto stopwords =
-      std::min(static_cast<std::uint64_t>(flags.integer("stopwords")),
+      std::min(flags.count<std::uint64_t>("stopwords"),
                static_cast<std::uint64_t>(docConfig.termCount) - 1);
   const ZipfSampler termPick(docConfig.termCount - stopwords, 0.9);
   Rng traceRng(docConfig.seed + 101);
@@ -318,18 +315,9 @@ int main(int argc, char** argv) {
     const auto result = topKDisjunctiveInto(index, q, k, params, scratch);
     if (!result.empty()) sink += result[0].score;
   });
-  const double maxscoreQps = timeTrace([&](const std::vector<TermId>& q) {
-    const auto result = topKMaxScore(index, q, k, params);
-    if (!result.empty()) sink += result[0].score;
-  });
-  const double wandQps = timeTrace([&](const std::vector<TermId>& q) {
-    const auto result = topKWand(index, q, k, params);
-    if (!result.empty()) sink += result[0].score;
-  });
   const double speedup = servingQps / oldQps;
-  std::printf("qps     | old %.0f, serving %.0f (%.2fx), maxscore %.0f, "
-              "wand %.0f [sink %.3f]\n",
-              oldQps, servingQps, speedup, maxscoreQps, wandQps, sink);
+  std::printf("qps     | old %.0f, serving %.0f (%.2fx) [sink %.3f]\n", oldQps,
+              servingQps, speedup, sink);
 
   // -- Segment: write to disk, reopen cold via mmap, serve warm ---------
   const std::string segPath =
@@ -423,8 +411,6 @@ int main(int argc, char** argv) {
   json.field("topk", static_cast<std::uint64_t>(k));
   json.field("old_qps", oldQps);
   json.field("serving_qps", servingQps);
-  json.field("maxscore_qps", maxscoreQps);
-  json.field("wand_qps", wandQps);
   json.field("speedup_disjunctive", speedup);
   json.endObject();
   json.key("work").beginObject();

@@ -235,10 +235,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  const auto partitions = static_cast<std::size_t>(flags.integer("partitions"));
-  const auto regular = static_cast<std::size_t>(flags.integer("machines"));
-  const auto exchange = static_cast<std::size_t>(flags.integer("exchange"));
+  const auto seed = flags.count<std::uint64_t>("seed");
+  const auto partitions = flags.count("partitions");
+  const auto regular = flags.count("machines");
+  const auto exchange = flags.count("exchange");
   const std::size_t total = regular + exchange;
   const double serviceFixed = flags.real("service-fixed-us") * 1e-6;
   const double servicePerPosting = flags.real("service-per-posting-us") * 1e-6;
@@ -247,8 +247,8 @@ int main(int argc, char** argv) {
   // -- Corpus and skewed partitioned index --------------------------------
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
-  docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  docConfig.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  docConfig.docCount = flags.count<std::uint32_t>("docs");
+  docConfig.termCount = flags.count<std::uint32_t>("terms");
   WallTimer buildTimer;
   const auto documents = generateDocuments(docConfig);
   Rng rng(seed ^ 0x5eedULL);
@@ -270,10 +270,10 @@ int main(int argc, char** argv) {
   // stopword head (the corpus's top ranks have posting lists so long that
   // a single head-term query would dominate every machine's service time —
   // the per-query work variance real engines remove by pruning stopwords).
-  const auto queryCount = static_cast<std::size_t>(flags.integer("queries"));
-  const auto topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  const auto queryCount = flags.count("queries");
+  const auto topK = flags.count<std::uint32_t>("topk");
   const auto stopwords =
-      std::min(static_cast<std::uint64_t>(flags.integer("stopwords")),
+      std::min(flags.count<std::uint64_t>("stopwords"),
                static_cast<std::uint64_t>(docConfig.termCount) - 1);
   const ZipfSampler termPick(docConfig.termCount - stopwords, 0.9);
   Rng traceRng(seed + 101);
@@ -411,11 +411,11 @@ int main(int argc, char** argv) {
               qps, qps * hotInitial, qps * hotGreedy, qps * hotSra);
 
   serve::ServeConfig serveConfig;
-  serveConfig.topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  serveConfig.topK = flags.count<std::uint32_t>("topk");
   serveConfig.deadlineSeconds = deadlineSeconds;
   serveConfig.serviceFixedSeconds = serviceFixed;
   serveConfig.servicePerPostingSeconds = servicePerPosting;
-  serveConfig.cacheCapacity = static_cast<std::size_t>(flags.integer("cache"));
+  serveConfig.cacheCapacity = flags.count("cache");
   serveConfig.seed = seed;
   serveConfig.tracing = flags.boolean("tracing");
   // Every phase's samples must stay inside the sliding window for the
@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
     obs::TraceRegistry::global().setEnabled(true);
     std::printf("introspection plane on http://127.0.0.1:%d\n", http->port());
   }
-  auto clients = static_cast<std::size_t>(flags.integer("clients"));
+  auto clients = flags.count("clients");
   if (clients == 0)
     clients = std::max<std::size_t>(
         4, static_cast<std::size_t>(std::ceil(qps * deadlineSeconds * 1.5)));
@@ -486,7 +486,7 @@ int main(int argc, char** argv) {
 
   // -- Tracing overhead: closed-loop throughput, tracing off vs on --------
   double qpsTracingOff = 0.0, qpsTracingOn = 0.0;
-  const auto overheadReps = static_cast<std::size_t>(flags.integer("overhead-reps"));
+  const auto overheadReps = flags.count("overhead-reps");
   if (overheadReps > 0) {
     obs::TraceRegistry::global().setEnabled(true);
     // Untimed warmup so neither arm pays one-time costs (worker arenas,

@@ -224,9 +224,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  const auto partitions = static_cast<std::size_t>(flags.integer("partitions"));
-  const auto machineCount = static_cast<std::size_t>(flags.integer("machines"));
+  const auto seed = flags.count<std::uint64_t>("seed");
+  const auto partitions = flags.count("partitions");
+  const auto machineCount = flags.count("machines");
   const double serviceFixed = flags.real("service-fixed-us") * 1e-6;
   const double servicePerPosting = flags.real("service-per-posting-us") * 1e-6;
   const double deadlineSeconds = flags.real("deadline-ms") * 1e-3;
@@ -237,8 +237,8 @@ int main(int argc, char** argv) {
   // through the serving kernel (the workers will scan the same postings).
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
-  docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  docConfig.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  docConfig.docCount = flags.count<std::uint32_t>("docs");
+  docConfig.termCount = flags.count<std::uint32_t>("terms");
   WallTimer buildTimer;
   const auto documents = generateDocuments(docConfig);
   Rng rng(seed ^ 0x5eedULL);
@@ -248,10 +248,10 @@ int main(int argc, char** argv) {
   std::printf("indexed %u docs into %zu partitions in %.2fs\n", docConfig.docCount,
               partitions, buildTimer.seconds());
 
-  const auto queryCount = static_cast<std::size_t>(flags.integer("queries"));
-  const auto topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  const auto queryCount = flags.count("queries");
+  const auto topK = flags.count<std::uint32_t>("topk");
   const auto stopwords =
-      std::min(static_cast<std::uint64_t>(flags.integer("stopwords")),
+      std::min(flags.count<std::uint64_t>("stopwords"),
                static_cast<std::uint64_t>(docConfig.termCount) - 1);
   const ZipfSampler termPick(docConfig.termCount - stopwords, 0.9);
   Rng traceRng(seed + 101);
@@ -381,16 +381,14 @@ int main(int argc, char** argv) {
   interactiveStream.qps = interactiveQps;
   interactiveStream.queries =
       static_cast<std::size_t>(std::ceil(interactiveQps * duration));
-  interactiveStream.clients =
-      static_cast<std::size_t>(flags.integer("interactive-clients"));
+  interactiveStream.clients = flags.count("interactive-clients");
   Stream batchStream;
   batchStream.tenant = 1;
   batchStream.qps = batchQps;
   batchStream.queries = static_cast<std::size_t>(std::ceil(batchQps * duration));
-  batchStream.clients = static_cast<std::size_t>(flags.integer("batch-clients"));
+  batchStream.clients = flags.count("batch-clients");
 
-  const auto reps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(flags.integer("reps")));
+  const auto reps = std::max<std::size_t>(1, flags.count("reps"));
   std::vector<PhaseOutcome> solos, bursts;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     solos.push_back(runPhase("solo", instance, mapping, index, trace,

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
   }
 
   resex::SyntheticConfig gen;
-  gen.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  gen.machines = static_cast<std::size_t>(flags.integer("machines"));
-  gen.exchangeMachines = static_cast<std::size_t>(flags.integer("exchange"));
+  gen.seed = flags.count<std::uint64_t>("seed");
+  gen.machines = flags.count("machines");
+  gen.exchangeMachines = flags.count("exchange");
   gen.shardsPerMachine = 18.0;
   gen.loadFactor = flags.real("load");
   gen.placementSkew = 1.0;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   resex::SraConfig sraConfig;
   sraConfig.lns.seed = gen.seed;
-  sraConfig.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+  sraConfig.lns.maxIterations = flags.count("iters");
 
   std::vector<std::unique_ptr<resex::Rebalancer>> algorithms;
   algorithms.push_back(std::make_unique<resex::NoopRebalancer>());

@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto kmax = static_cast<std::size_t>(flags.integer("kmax"));
+  const auto kmax = flags.count("kmax");
   resex::Table table({"k", "lower-bound", "bottleneck", "gap", "staged-hops",
                       "GB", "complete"});
 
   for (std::size_t k = 0; k <= kmax; k = (k == 0 ? 1 : k * 2)) {
     resex::SyntheticConfig gen;
-    gen.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-    gen.machines = static_cast<std::size_t>(flags.integer("machines"));
+    gen.seed = flags.count<std::uint64_t>("seed");
+    gen.machines = flags.count("machines");
     gen.exchangeMachines = k;
     gen.loadFactor = flags.real("load");
     gen.placementSkew = 1.0;
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
     resex::SraConfig config;
     config.lns.seed = gen.seed;
-    config.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+    config.lns.maxIterations = flags.count("iters");
     resex::Sra sra(config);
     const resex::RebalanceResult r = sra.rebalance(instance);
 

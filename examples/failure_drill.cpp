@@ -64,14 +64,14 @@ int main(int argc, char** argv) {
   }
 
   resex::SyntheticConfig gen;
-  gen.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  gen.machines = static_cast<std::size_t>(flags.integer("machines"));
-  gen.exchangeMachines = static_cast<std::size_t>(flags.integer("exchange"));
+  gen.seed = flags.count<std::uint64_t>("seed");
+  gen.machines = flags.count("machines");
+  gen.exchangeMachines = flags.count("exchange");
   gen.loadFactor = flags.real("load");
   gen.skuCount = 1;
   gen.shardSizeSigma = 1.0;
   const resex::Instance instance = resex::generateSynthetic(gen);
-  const auto victim = static_cast<resex::MachineId>(flags.integer("victim"));
+  const auto victim = flags.count<resex::MachineId>("victim");
 
   std::printf("cluster: %zu machines (+%zu exchange), %zu shards, load %.2f\n",
               instance.regularCount(), instance.exchangeCount(),
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   // -- Plan the recovery (polish off: replans must be deterministic). -----
   resex::RecoveryConfig config;
   config.sra.lns.seed = gen.seed + 1;
-  config.sra.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+  config.sra.lns.maxIterations = flags.count("iters");
   config.sra.polish = false;
   const resex::RecoveryResult r = resex::recoverFromFailure(instance, victim, config);
 
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
 
   // -- Assemble the fault plan. -------------------------------------------
   resex::FaultPlan faults;
-  faults.seed = static_cast<std::uint64_t>(flags.integer("fault-seed"));
+  faults.seed = flags.count<std::uint64_t>("fault-seed");
   faults.copyFailureProbability = flags.real("copy-fail");
   const std::string crashSpec = flags.str("crash-at");
   if (crashSpec == "auto") {
@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   }
 
   resex::ExecutorConfig exec;
-  exec.maxRetries = static_cast<std::size_t>(flags.integer("max-retries"));
-  exec.maxReplans = static_cast<std::size_t>(flags.integer("max-replans"));
+  exec.maxRetries = flags.count("max-retries");
+  exec.maxReplans = flags.count("max-replans");
   exec.sra = config.sra;
 
   // -- Execute under faults, twice: the reports must match bit-for-bit. ---

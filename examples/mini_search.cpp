@@ -179,14 +179,14 @@ int main(int argc, char** argv) {
   }
 
   resex::SyntheticDocConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  config.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  config.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  config.seed = flags.count<std::uint64_t>("seed");
+  config.docCount = flags.count<std::uint32_t>("docs");
+  config.termCount = flags.count<std::uint32_t>("terms");
 
   resex::WallTimer timer;
   const auto docs = resex::generateDocuments(config);
   const resex::InvertedIndex whole(config.termCount, docs);
-  const auto shardCount = static_cast<std::size_t>(flags.integer("shards"));
+  const auto shardCount = flags.count("shards");
   const std::string segmentDir = flags.str("segments");
   // From documents, or reopened zero-copy from segment files on disk —
   // either way the same PartitionedIndex surface (and, below, the same
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   const resex::ZipfSampler termPick(config.termCount, 0.9);
   std::vector<resex::ExecStats> shardStats(shardCount);
   std::size_t agree = 0;
-  const auto queryCount = static_cast<std::size_t>(flags.integer("queries"));
+  const auto queryCount = flags.count("queries");
   std::vector<std::vector<resex::TermId>> trace(queryCount);
   for (std::size_t q = 0; q < queryCount; ++q) {
     std::vector<resex::TermId>& query = trace[q];
@@ -275,10 +275,8 @@ int main(int argc, char** argv) {
               "proportional to corpus share, the premise of the cost model)\n");
 
   if (flags.boolean("serve")) {
-    serveDemo(part, trace, static_cast<std::size_t>(flags.integer("machines")),
-              static_cast<std::size_t>(flags.integer("clients")),
-              static_cast<std::size_t>(flags.integer("cache")),
-              flags.real("deadline-ms"), config.seed,
+    serveDemo(part, trace, flags.count("machines"), flags.count("clients"),
+              flags.count("cache"), flags.real("deadline-ms"), config.seed,
               static_cast<int>(flags.integer("obs-port")),
               flags.real("serve-seconds"));
   }

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   // 1. A synthetic search-engine cluster: heavy-tailed shard demands,
   //    correlated CPU/memory dimensions, skewed initial placement.
   resex::SyntheticConfig gen;
-  gen.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  gen.machines = static_cast<std::size_t>(flags.integer("machines"));
-  gen.exchangeMachines = static_cast<std::size_t>(flags.integer("exchange"));
+  gen.seed = flags.count<std::uint64_t>("seed");
+  gen.machines = flags.count("machines");
+  gen.exchangeMachines = flags.count("exchange");
   gen.loadFactor = flags.real("load");
   gen.placementSkew = 1.0;
   const resex::Instance instance = resex::generateSynthetic(gen);
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   //    transient-feasible migration schedule.
   resex::SraConfig config;
   config.lns.seed = gen.seed;
-  config.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+  config.lns.maxIterations = flags.count("iters");
   resex::Sra sra(config);
   const resex::RebalanceResult result = sra.rebalance(instance);
 

@@ -27,7 +27,6 @@
 #include "core/baselines.hpp"
 #include "core/sra.hpp"
 #include "index/partition.hpp"
-#include "index/wand.hpp"
 #include "metrics/report.hpp"
 #include "model/bounds.hpp"
 #include "obs/context.hpp"
@@ -62,14 +61,14 @@ void writeSolution(const std::string& path, const std::vector<MachineId>& mappin
 
 int cmdGen(Flags& flags) {
   SyntheticConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  config.machines = static_cast<std::size_t>(flags.integer("machines"));
-  config.exchangeMachines = static_cast<std::size_t>(flags.integer("exchange"));
+  config.seed = flags.count<std::uint64_t>("seed");
+  config.machines = flags.count("machines");
+  config.exchangeMachines = flags.count("exchange");
   config.shardsPerMachine = flags.real("shards-per-machine");
-  config.dims = static_cast<std::size_t>(flags.integer("dims"));
+  config.dims = flags.count("dims");
   config.loadFactor = flags.real("load");
   config.placementSkew = flags.real("skew");
-  config.replicationFactor = static_cast<std::size_t>(flags.integer("replication"));
+  config.replicationFactor = flags.count("replication");
   const Instance instance = generateSynthetic(config);
   instance.saveToFile(flags.str("out"));
   std::printf("wrote %s: %zu machines (+%zu exchange), %zu shards, load %.3f\n",
@@ -98,8 +97,8 @@ int cmdSolve(const Instance& instance, Flags& flags) {
   std::unique_ptr<Rebalancer> rebalancer;
   if (algo == "sra") {
     SraConfig config;
-    config.lns.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-    config.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+    config.lns.seed = flags.count<std::uint64_t>("seed");
+    config.lns.maxIterations = flags.count("iters");
     config.lns.timeBudgetSeconds = flags.real("budget");
     rebalancer = std::make_unique<Sra>(config);
   } else if (algo == "swap-ls") {
@@ -142,9 +141,9 @@ int cmdQuickstart(Flags& flags) {
   // One controller epoch over a skewed synthetic cluster: trigger -> LNS
   // solve -> migration schedule -> execution, all instrumented.
   SyntheticConfig gen;
-  gen.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  gen.machines = static_cast<std::size_t>(flags.integer("machines"));
-  gen.exchangeMachines = static_cast<std::size_t>(flags.integer("exchange"));
+  gen.seed = flags.count<std::uint64_t>("seed");
+  gen.machines = flags.count("machines");
+  gen.exchangeMachines = flags.count("exchange");
   gen.loadFactor = flags.real("load");
   gen.placementSkew = 1.0;
   const Instance instance = generateSynthetic(gen);
@@ -155,7 +154,7 @@ int cmdQuickstart(Flags& flags) {
   ControllerConfig control;
   control.trigger.always = true;  // the tour always shows a rebalance
   control.sra.lns.seed = gen.seed;
-  control.sra.lns.maxIterations = static_cast<std::size_t>(flags.integer("iters"));
+  control.sra.lns.maxIterations = flags.count("iters");
   control.sra.lns.timeBudgetSeconds = flags.real("budget");
   ClusterController controller(control);
   const EpochReport report = controller.step(instance);
@@ -171,12 +170,12 @@ int cmdQuickstart(Flags& flags) {
   const InvertedIndex index(docs.termCount, generateDocuments(docs));
   Rng rng(gen.seed);
   const ZipfSampler termPick(docs.termCount, 0.9);
-  const auto queryCount = static_cast<std::size_t>(flags.integer("queries"));
+  const auto queryCount = flags.count("queries");
   for (std::size_t q = 0; q < queryCount; ++q) {
     const std::vector<TermId> query{
         static_cast<TermId>(termPick.sample(rng) - 1),
         static_cast<TermId>(termPick.sample(rng) - 1)};
-    topKHybrid(index, query, 10, Bm25Params{});
+    topKDisjunctive(index, query, 10, Bm25Params{});
   }
   const auto& latency =
       obs::MetricsRegistry::global().histogram("query.latency_us");

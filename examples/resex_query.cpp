@@ -57,13 +57,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "resex_query: --terms is required (e.g. --terms 3,17)\n");
     return 2;
   }
-  request.tenant = static_cast<std::uint32_t>(flags.integer("tenant"));
-  request.topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  request.tenant = flags.count<std::uint32_t>("tenant");
+  request.topK = flags.count<std::uint32_t>("topk");
   request.deadlineMicros =
       static_cast<std::uint32_t>(flags.real("deadline-ms") * 1e3);
 
-  net::Client client(flags.str("host"),
-                     static_cast<std::uint16_t>(flags.integer("port")));
+  net::Client client(flags.str("host"), flags.count<std::uint16_t>("port"));
   try {
     client.connect();
   } catch (const std::exception& e) {

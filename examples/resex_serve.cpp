@@ -72,22 +72,21 @@ int main(int argc, char** argv) {
   // Index: segment-backed (mmap, zero-copy) or synthetic.
   const std::string segmentDir = flags.str("segments");
   SyntheticDocConfig corpus;
-  corpus.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  corpus.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
-  corpus.termCount = static_cast<std::uint32_t>(flags.integer("terms"));
+  corpus.seed = flags.count<std::uint64_t>("seed");
+  corpus.docCount = flags.count<std::uint32_t>("docs");
+  corpus.termCount = flags.count<std::uint32_t>("terms");
   const PartitionedIndex index = [&] {
     try {
       if (!segmentDir.empty()) return PartitionedIndex::fromSegmentDir(segmentDir);
       return PartitionedIndex(corpus.termCount, generateDocuments(corpus),
-                              static_cast<std::size_t>(flags.integer("shards")));
+                              flags.count("shards"));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "resex_serve: cannot load index: %s\n", e.what());
       std::exit(1);
     }
   }();
   const std::size_t partitions = index.shardCount();
-  const std::size_t machineCount = std::min(
-      static_cast<std::size_t>(flags.integer("machines")), partitions);
+  const std::size_t machineCount = std::min(flags.count("machines"), partitions);
 
   // Cluster instance: partitions hosted round-robin on uniform machines.
   std::vector<Shard> shards(partitions);
@@ -110,18 +109,18 @@ int main(int argc, char** argv) {
                           ResourceVector{0.5, 1.0});
 
   serve::ServeConfig config;
-  config.topK = static_cast<std::uint32_t>(flags.integer("topk"));
+  config.topK = flags.count<std::uint32_t>("topk");
   config.deadlineSeconds = flags.real("deadline-ms") * 1e-3;
-  config.queueCapacity = static_cast<std::size_t>(flags.integer("queue-capacity"));
-  config.workersPerMachine = static_cast<std::size_t>(flags.integer("workers"));
-  config.cacheCapacity = static_cast<std::size_t>(flags.integer("cache"));
+  config.queueCapacity = flags.count("queue-capacity");
+  config.workersPerMachine = flags.count("workers");
+  config.cacheCapacity = flags.count("cache");
   config.seed = corpus.seed;
   serve::QueryBroker broker(instance, mapping, index, config);
   serve::SearchService service(broker);
 
   net::ServerConfig netConfig;
-  netConfig.port = static_cast<std::uint16_t>(flags.integer("port"));
-  netConfig.shards = static_cast<std::size_t>(flags.integer("net-shards"));
+  netConfig.port = flags.count<std::uint16_t>("port");
+  netConfig.shards = flags.count("net-shards");
   net::Server server(netConfig, service.handler());
   try {
     server.start();

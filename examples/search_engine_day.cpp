@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   }
 
   resex::SearchWorkloadConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.integer("seed"));
-  config.shardCount = static_cast<std::size_t>(flags.integer("shards"));
-  config.machines = static_cast<std::size_t>(flags.integer("machines"));
+  config.seed = flags.count<std::uint64_t>("seed");
+  config.shardCount = flags.count("shards");
+  config.machines = flags.count("machines");
   config.exchangeMachines = 2;
   config.peakQps = flags.real("qps");
   config.cpuLoadFactorAtPeak = 0.85;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   resex::DiurnalModel diurnal;
   const bool rebalance = flags.boolean("rebalance");
-  const auto hours = static_cast<std::size_t>(flags.integer("hours"));
+  const auto hours = flags.count("hours");
 
   std::printf("corpus: %llu docs, %u terms; %zu shards on %zu machines (+%zu)\n\n",
               static_cast<unsigned long long>(workload.corpus().docCount()),

@@ -1,22 +1,19 @@
-// Posting-list cursors and per-query scratch arenas — the zero-allocation
-// substrate of every query executor.
+// Per-query scratch arenas — the zero-allocation substrate of the query
+// kernel.
 //
-// A TermCursor walks one BlockPostingList document-at-a-time but decodes
-// lazily: positioning on a block's first document and skipping past whole
-// blocks (nextGeq) only touch the block metadata; the payload is decoded
-// into a reusable CursorBuffer the first time a frequency or an intra-block
-// position is actually needed. The conjunctive path, MaxScore and WAND
-// drive cursors; the disjunctive scan decodes whole lists into a cursor
-// buffer. QueryScratch owns every buffer a query needs (cursor buffers,
-// heap storage, dense accumulator), so a warmed-up worker executes queries
-// with zero heap allocation; QueryBroker workers each own one, and a
-// thread_local fallback serves the convenience APIs.
+// The exhaustive disjunctive scan decodes each query term's posting list
+// block by block into one reusable CursorBuffer and streams the touched
+// documents through a bounded TopKHeap. QueryScratch owns every buffer a
+// query needs (decode buffer, heap storage, dense accumulator), so a
+// warmed-up worker executes queries with zero heap allocation; QueryBroker
+// workers each own one, and a thread_local fallback serves the convenience
+// APIs.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -24,139 +21,21 @@
 
 namespace resex {
 
-/// Decode target for one cursor's current block.
+/// Decode target for one posting block.
 struct CursorBuffer {
   std::array<DocId, kPostingBlockSize> docs;
   std::array<std::uint32_t, kPostingBlockSize> freqs;
 };
 
-/// Forward iterator over one posting list. doc() is valid immediately
-/// after positioning on a block (no decode); freq() and intra-block
-/// advances force the decode.
-class TermCursor {
- public:
-  /// Keeps a copy of the view; the planes it points into must outlive the
-  /// cursor's use.
-  void init(const BlockPostingList& list, double idf, double upperBound,
-            CursorBuffer* buffer, ExecStats* stats) {
-    list_ = list;
-    buffer_ = buffer;
-    stats_ = stats;
-    idf_ = idf;
-    upperBound_ = upperBound;
-    block_ = 0;
-    loadBlockFront();
-  }
-
-  bool exhausted() const noexcept { return meta_ == nullptr; }
-  DocId doc() const noexcept { return cur_; }
-  double idf() const noexcept { return idf_; }
-  /// Global (whole-list) upper bound on this term's contribution.
-  double upperBound() const noexcept { return upperBound_; }
-  std::size_t documentCount() const noexcept { return list_.documentCount(); }
-
-  std::uint32_t freq() {
-    ensureDecoded();
-    return buffer_->freqs[pos_];
-  }
-
-  /// Advances one posting (decodes the current block if needed).
-  void next() {
-    ensureDecoded();
-    ++pos_;
-    if (pos_ >= count_) {
-      ++block_;
-      loadBlockFront();
-    } else {
-      cur_ = buffer_->docs[pos_];
-    }
-  }
-
-  /// Advances to the first posting with doc id >= target. Whole blocks
-  /// whose lastDoc < target are passed over without decoding; landing on
-  /// a block's first document keeps the block undecoded.
-  void nextGeq(DocId target) {
-    if (meta_ == nullptr || cur_ >= target) return;
-    if (meta_->lastDoc < target) {
-      if (!decoded_ && stats_ != nullptr) ++stats_->blocksSkipped;
-      for (;;) {
-        ++block_;
-        if (block_ >= list_.blockCount()) {
-          meta_ = nullptr;
-          return;
-        }
-        if (list_.block(block_).lastDoc >= target) break;
-        if (stats_ != nullptr) ++stats_->blocksSkipped;
-      }
-      loadBlockFront();
-      if (cur_ >= target) return;
-    }
-    ensureDecoded();
-    // docs[pos_] = cur_ < target and docs[count_-1] = lastDoc >= target.
-    std::uint32_t lo = pos_;
-    std::uint32_t hi = count_ - 1;
-    while (lo + 1 < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (buffer_->docs[mid] < target)
-        lo = mid;
-      else
-        hi = mid;
-    }
-    pos_ = hi;
-    cur_ = buffer_->docs[pos_];
-  }
-
- private:
-  void loadBlockFront() noexcept {
-    if (block_ >= list_.blockCount()) {
-      meta_ = nullptr;
-      return;
-    }
-    meta_ = &list_.block(block_);
-    pos_ = 0;
-    count_ = meta_->count;
-    decoded_ = false;
-    cur_ = meta_->firstDoc;
-  }
-
-  void ensureDecoded() {
-    if (decoded_) return;
-    list_.decodeBlock(block_, buffer_->docs.data(), buffer_->freqs.data());
-    decoded_ = true;
-    if (stats_ != nullptr) {
-      ++stats_->blocksDecoded;
-      stats_->postingsScanned += count_;
-    }
-  }
-
-  BlockPostingList list_;
-  const PostingBlockMeta* meta_ = nullptr;  // null once exhausted
-  CursorBuffer* buffer_ = nullptr;
-  ExecStats* stats_ = nullptr;
-  DocId cur_ = 0;
-  std::uint32_t pos_ = 0;
-  std::uint32_t count_ = 0;
-  std::size_t block_ = 0;
-  bool decoded_ = false;
-  double idf_ = 0.0;
-  double upperBound_ = 0.0;
-};
-
 /// Bounded top-k min-heap over caller-owned storage. The top is the entry
 /// the next candidate must beat under the (score desc, doc asc) result
-/// order; threshold() is the score MaxScore and WAND must beat.
+/// order.
 class TopKHeap {
  public:
   void reset(std::vector<ScoredDoc>* storage, std::size_t k) {
     storage_ = storage;
     storage_->clear();
     k_ = k;
-  }
-
-  std::size_t size() const noexcept { return storage_->size(); }
-
-  double threshold() const noexcept {
-    return storage_->size() < k_ ? -1.0 : storage_->front().score;
   }
 
   void offer(double score, DocId doc) {
@@ -196,30 +75,17 @@ class TopKHeap {
 /// capacity and query execution allocates nothing. Not thread-safe — one
 /// scratch per thread (QueryBroker workers own theirs; standalone callers
 /// get threadLocalQueryScratch()).
-class QueryScratch {
- public:
-  /// Decode buffer for cursor `i` (grown on first use, then stable).
-  CursorBuffer& buffer(std::size_t i) {
-    while (buffers_.size() <= i)
-      buffers_.push_back(std::make_unique<CursorBuffer>());
-    return *buffers_[i];
-  }
-
+struct QueryScratch {
+  CursorBuffer buffer;                // the block the scan decodes into
   std::vector<TermId> terms;          // deduplicated query terms
-  std::vector<TermCursor> cursors;    // one per non-empty posting list
-  std::vector<std::size_t> order;     // cursor ordering workspace
-  std::vector<double> cumBound;       // MaxScore prefix bounds
   std::vector<ScoredDoc> heapStorage;
   TopKHeap heap;
   ExecStats exec;                     // reset by each executor invocation
 
-  // Disjunctive scan: dense accumulator kept all-zero between queries
-  // (only `touched` entries are written and cleared).
+  // Dense accumulator kept all-zero between queries (only `touched`
+  // entries are written and cleared).
   std::vector<double> acc;
   std::vector<DocId> touched;
-
- private:
-  std::vector<std::unique_ptr<CursorBuffer>> buffers_;
 };
 
 /// Per-thread scratch for callers without an explicit arena (tests,

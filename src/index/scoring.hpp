@@ -1,11 +1,9 @@
 // Shared BM25 scoring primitives and query-execution plumbing types.
 //
-// Every executor (the exhaustive disjunctive scan, conjunctive, MaxScore,
-// WAND) scores with the same formula and the same per-query statistics,
-// so the types live here — below block_codec/cursor and query_exec — to
-// keep the include graph acyclic: block_codec needs Bm25Params to precompute
-// per-block score bounds, cursor needs ExecStats to account for block
-// decodes and skips, and query_exec needs both.
+// They live here — below block_codec, cursor and query_exec — to keep the
+// include graph acyclic: block_codec needs Bm25Params to precompute
+// per-block score bounds, cursor needs ScoredDoc and ExecStats for the
+// top-k heap and the per-query scratch, and query_exec needs all of them.
 #pragma once
 
 #include <algorithm>
@@ -37,12 +35,10 @@ struct ExecStats {
   std::size_t candidatesScored = 0;
   /// Posting blocks decoded into a cursor buffer.
   std::size_t blocksDecoded = 0;
-  /// Posting blocks a cursor passed over without decoding (conjunctive
-  /// seeks); the disjunctive scan decodes every block.
+  /// Always 0: the exhaustive scan decodes every block and prunes nothing.
+  /// Both fields stay only because the benchmark harness's per-layer record
+  /// (perfbench/serving.cpp) still reads them.
   std::size_t blocksSkipped = 0;
-  /// Pruning decisions driven by the top-k heap threshold. No executor
-  /// that fills ExecStats prunes, so it stays zero; the benchmark
-  /// harness's per-layer record still reads it.
   std::size_t heapThresholdPrunes = 0;
 
   /// Adds every counter of `other` — the one accumulation path for

@@ -350,7 +350,7 @@ void MappedSegment::validate() {
   // Dense indices follow ascending original id, and the build rejects
   // duplicate ids: a docid plane that is not strictly ascending would make
   // equal-score ties (broken by doc id) disagree with the dense order the
-  // cursor executors walk in.
+  // scan accumulates in.
   for (std::uint32_t d = 1; d < footer_.docCount; ++d)
     if (planes_.docIds[d] <= planes_.docIds[d - 1])
       reject("docid plane not strictly ascending at dense index " +
@@ -362,8 +362,8 @@ void MappedSegment::validate() {
   // range below docCount; the decode pass proves the prefix-summed ids
   // actually land on each block's declared lastDoc, and that each
   // posting's frequency, document length and BM25 weight respect the
-  // block's maxTf, minDocLen and maxWeight — the bounds the executors
-  // prune with. A segment that loads can therefore never hand the query
+  // block's maxTf, minDocLen and maxWeight — the bounds a pruning kernel
+  // would rely on. A segment that loads can therefore never hand the query
   // kernel an out-of-range doc id or an unsound block bound — hostile
   // bytes fail here, not mid-query. The pass costs one more sweep over
   // payload bytes the CRC check above already touched.

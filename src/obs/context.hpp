@@ -32,7 +32,7 @@
 // queries, re-plans and migrations on a single timeline.
 //
 // Span naming follows the metrics convention: `subsystem.verb`
-// ("scheduler.build", "query.wand").
+// ("scheduler.build", "query.disjunctive").
 #pragma once
 
 #include <array>

@@ -185,7 +185,7 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
   queues_.reserve(m);
   machineStats_.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
-    queues_.push_back(std::make_unique<FairShareQueue<Task>>(registry_.tree()));
+    queues_.push_back(std::make_unique<FairShareQueue<Task>>(registry_.weights()));
     machineStats_.push_back(std::make_unique<MachineStats>());
   }
   tenantStats_.reserve(registry_.count());

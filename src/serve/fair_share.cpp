@@ -5,53 +5,33 @@
 
 namespace resex::serve {
 
-FairShareScheduler::FairShareScheduler(FairShareTreeSpec spec) {
-  if (spec.tenants.empty())
-    throw std::invalid_argument("FairShareScheduler: empty tree");
-  pools_.reserve(spec.pools.size());
-  for (const FairShareTreeSpec::Pool& pool : spec.pools) {
-    if (!(pool.weight > 0.0))
-      throw std::invalid_argument("FairShareScheduler: pool weight must be > 0");
-    PoolNode node;
-    node.weight = pool.weight;
-    pools_.push_back(node);
-  }
-  tenants_.reserve(spec.tenants.size());
-  for (const FairShareTreeSpec::Tenant& tenant : spec.tenants) {
-    if (!(tenant.weight > 0.0))
+FairShareScheduler::FairShareScheduler(const std::vector<double>& weights) {
+  if (weights.empty())
+    throw std::invalid_argument("FairShareScheduler: no tenants");
+  tenants_.reserve(weights.size());
+  for (const double weight : weights) {
+    if (!(weight > 0.0))
       throw std::invalid_argument("FairShareScheduler: tenant weight must be > 0");
-    if (tenant.pool >= pools_.size())
-      throw std::invalid_argument("FairShareScheduler: tenant pool out of range");
     TenantNode node;
-    node.weight = tenant.weight;
-    node.pool = tenant.pool;
+    node.weight = weight;
     tenants_.push_back(node);
   }
 }
 
 void FairShareScheduler::onEnqueue(TenantId t) {
   TenantNode& tenant = tenants_.at(t);
-  PoolNode& pool = pools_[tenant.pool];
-  // Activation catch-up: an idle node rejoins at its parent's clock, never
-  // behind it — sleeping banks no credit.
-  if (pool.pending == 0) pool.vtime = std::max(pool.vtime, rootClock_);
-  if (tenant.pending == 0) tenant.vtime = std::max(tenant.vtime, pool.memberClock);
+  // Activation catch-up: an idle tenant rejoins at the clock, never behind
+  // it — sleeping banks no credit.
+  if (tenant.pending == 0) tenant.vtime = std::max(tenant.vtime, clock_);
   ++tenant.pending;
-  ++pool.pending;
   ++totalPending_;
 }
 
 std::optional<TenantId> FairShareScheduler::pickNext() const {
   if (totalPending_ == 0) return std::nullopt;
-  std::size_t bestPool = pools_.size();
-  for (std::size_t p = 0; p < pools_.size(); ++p) {
-    if (pools_[p].pending == 0) continue;
-    if (bestPool == pools_.size() || pools_[p].vtime < pools_[bestPool].vtime)
-      bestPool = p;
-  }
   std::size_t best = tenants_.size();
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    if (tenants_[t].pool != bestPool || tenants_[t].pending == 0) continue;
+    if (tenants_[t].pending == 0) continue;
     if (best == tenants_.size() || tenants_[t].vtime < tenants_[best].vtime)
       best = t;
   }
@@ -62,15 +42,11 @@ void FairShareScheduler::onDequeue(TenantId t) {
   TenantNode& tenant = tenants_.at(t);
   if (tenant.pending == 0)
     throw std::logic_error("FairShareScheduler: dequeue from idle tenant");
-  PoolNode& pool = pools_[tenant.pool];
-  // SFQ: the system clock advances to the *start tag* of the service being
-  // granted, at each level.
-  rootClock_ = std::max(rootClock_, pool.vtime);
-  pool.memberClock = std::max(pool.memberClock, tenant.vtime);
+  // SFQ: the clock advances to the *start tag* of the service being
+  // granted.
+  clock_ = std::max(clock_, tenant.vtime);
   tenant.vtime += 1.0 / tenant.weight;
-  pool.vtime += 1.0 / pool.weight;
   --tenant.pending;
-  --pool.pending;
   --totalPending_;
 }
 

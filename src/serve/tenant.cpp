@@ -25,6 +25,7 @@ TenantRegistry::TenantRegistry(std::vector<TenantSpec> specs)
                                   "' burstLimit must be >= 0 and finite");
     guaranteeSum += spec.guaranteedShare;
     totalWeight_ += spec.weight;
+    weights_.push_back(spec.weight);
   }
   if (guaranteeSum > 1.0 + 1e-12)
     throw std::invalid_argument(
@@ -40,22 +41,6 @@ TenantRegistry::TenantRegistry(std::vector<TenantSpec> specs)
   for (const TenantSpec& spec : specs_)
     sloClasses_.push_back(spec.sloClass.empty() ? "tenant." + spec.name
                                                 : spec.sloClass);
-
-  // Fair-share tree: tenants naming the same pool share a node; a tenant
-  // with no pool gets an implicit single-member pool under the root. Pool
-  // weight is the sum of member weights.
-  tree_.tenants.resize(specs_.size());
-  for (std::size_t t = 0; t < specs_.size(); ++t) {
-    const std::string poolName =
-        specs_[t].pool.empty() ? "pool." + specs_[t].name : specs_[t].pool;
-    std::uint32_t poolIdx = 0;
-    for (; poolIdx < tree_.pools.size(); ++poolIdx)
-      if (tree_.pools[poolIdx].name == poolName) break;
-    if (poolIdx == tree_.pools.size())
-      tree_.pools.push_back({poolName, 0.0});
-    tree_.pools[poolIdx].weight += specs_[t].weight;
-    tree_.tenants[t] = {specs_[t].weight, poolIdx};
-  }
 }
 
 std::optional<TenantId> TenantRegistry::idOf(std::string_view name) const noexcept {

@@ -59,7 +59,7 @@ using TenantId = std::uint32_t;
 
 struct TenantSpec {
   std::string name;
-  /// Fair-share weight within its pool; > 0.
+  /// Fair-share dispatch weight; > 0.
   double weight = 1.0;
   /// Fraction of all tokens reserved for this tenant, in [0, 1]; the sum
   /// over tenants must stay <= 1. Admission within the guarantee can only
@@ -69,31 +69,11 @@ struct TenantSpec {
   /// effective cap is max(guarantee, burstLimit x weightShare) of all
   /// tokens, so 0 pins the tenant to its guarantee.
   double burstLimit = 1.0;
-  /// Fair-share tree pool this tenant schedules under; empty = a pool of
-  /// its own directly under the root.
-  std::string pool;
   /// SLO class name; empty defaults to "tenant.<name>". Each distinct
   /// class registers its own SloWindow with `slo` (distinct objectives per
   /// tenant are the point — see SloRegistry::window's mismatch contract).
   std::string sloClass;
   obs::SloConfig slo;
-};
-
-/// The static shape of the hierarchical fair-share tree: root -> pools ->
-/// tenants. Pool weight is the sum of its members' weights (a pool's claim
-/// grows with the classes it shelters, the ytsaurus fair-share convention
-/// for implicit pools).
-struct FairShareTreeSpec {
-  struct Pool {
-    std::string name;
-    double weight = 0.0;
-  };
-  struct Tenant {
-    double weight = 1.0;
-    std::uint32_t pool = 0;
-  };
-  std::vector<Pool> pools;
-  std::vector<Tenant> tenants;
 };
 
 /// Validated, immutable tenant table. Ids are dense indexes in
@@ -112,7 +92,8 @@ class TenantRegistry {
   /// The registered SLO class name (spec.sloClass or its default).
   const std::string& sloClassOf(TenantId id) const { return sloClasses_.at(id); }
 
-  const FairShareTreeSpec& tree() const noexcept { return tree_; }
+  /// Fair-share weights by tenant id (what FairShareQueue dispatches by).
+  const std::vector<double>& weights() const noexcept { return weights_; }
 
   /// weight_t / sum of all weights.
   double weightShare(TenantId id) const;
@@ -124,7 +105,7 @@ class TenantRegistry {
  private:
   std::vector<TenantSpec> specs_;
   std::vector<std::string> sloClasses_;
-  FairShareTreeSpec tree_;
+  std::vector<double> weights_;
   double totalWeight_ = 0.0;
 };
 

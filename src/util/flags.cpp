@@ -79,6 +79,12 @@ std::int64_t Flags::integer(const std::string& name) const {
   }
 }
 
+void Flags::rejectCount(const std::string& name, std::uint64_t max) const {
+  std::string message = "flag --" + name + ": expected an integer in [0, ";
+  message += std::to_string(max) + "], got '" + lookup(name).value + "'";
+  throw std::runtime_error(message);
+}
+
 double Flags::real(const std::string& name) const {
   const std::string& v = lookup(name).value;
   try {

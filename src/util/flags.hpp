@@ -4,9 +4,12 @@
 // Unknown flags are an error so typos surface immediately.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace resex {
@@ -26,6 +29,17 @@ class Flags {
 
   std::string str(const std::string& name) const;
   std::int64_t integer(const std::string& name) const;
+  /// A non-negative integer flag (a count, size, id or seed) that fits in
+  /// `T`. Throws std::runtime_error naming the flag and its value when the
+  /// value is negative or too large, where a cast would wrap it.
+  template <typename T = std::size_t>
+  T count(const std::string& name) const {
+    static_assert(std::is_unsigned_v<T>);
+    const std::int64_t v = integer(name);
+    if (v < 0 || static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max())
+      rejectCount(name, std::numeric_limits<T>::max());
+    return static_cast<T>(v);
+  }
   double real(const std::string& name) const;
   bool boolean(const std::string& name) const;
 
@@ -39,6 +53,7 @@ class Flags {
     std::string help;
   };
   const Spec& lookup(const std::string& name) const;
+  [[noreturn]] void rejectCount(const std::string& name, std::uint64_t max) const;
 
   std::map<std::string, Spec> specs_;
   std::vector<std::string> order_;

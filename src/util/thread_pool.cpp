@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace resex {
 
@@ -69,7 +70,17 @@ void parallelForBlocked(std::size_t n,
     const std::size_t hi = std::min(lo + per, n);
     futures.push_back(pool.submit([&fn, lo, hi] { fn(lo, hi); }));
   }
-  for (auto& f : futures) f.get();  // propagates the first exception
+  // Every block must finish before `fn` goes out of scope, even when one
+  // throws: a later block still queued would otherwise call a dangling `fn`.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,

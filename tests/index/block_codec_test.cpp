@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "index/cursor.hpp"
 #include "index/encoded_list.hpp"
 #include "index/varbyte.hpp"
 #include "util/rng.hpp"
@@ -162,11 +161,6 @@ TEST(BlockCodec, EmptyListBehaves) {
   list.decode(docs, freqs);
   EXPECT_TRUE(docs.empty());
   EXPECT_TRUE(freqs.empty());
-
-  CursorBuffer buffer;
-  TermCursor cursor;
-  cursor.init(list, 1.0, 1.0, &buffer, nullptr);
-  EXPECT_TRUE(cursor.exhausted());
 }
 
 TEST(BlockCodec, RejectsInvalidInput) {
@@ -207,59 +201,6 @@ TEST(BlockCodec, TruncatedVbyteInputThrowsEverywhere) {
   const std::vector<std::uint8_t> overflow(11, 0x01);
   std::size_t offset = 0;
   EXPECT_THROW(varbyteDecode(overflow, offset), std::out_of_range);
-}
-
-TEST(BlockCodec, CursorNextGeqMatchesLinearReference) {
-  Rng rng(76);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t length = 1 + rng.below(900);
-    const auto gapBound = static_cast<std::uint32_t>(1 + rng.below(60));
-    const Postings p = randomPostings(rng, length, gapBound, 9);
-    const EncodedList encoded(p.docs, p.freqs);
-    const BlockPostingList& list = encoded.list;
-    CursorBuffer buffer;
-    TermCursor cursor;
-    cursor.init(list, 1.0, 1.0, &buffer, nullptr);
-    DocId target = 0;
-    while (!cursor.exhausted()) {
-      target += static_cast<DocId>(rng.below(2 * gapBound + 8));
-      cursor.nextGeq(target);
-      const auto it = std::lower_bound(p.docs.begin(), p.docs.end(), target);
-      if (it == p.docs.end()) {
-        EXPECT_TRUE(cursor.exhausted()) << "trial " << trial;
-        break;
-      }
-      ASSERT_FALSE(cursor.exhausted()) << "trial " << trial << " target " << target;
-      EXPECT_EQ(cursor.doc(), *it) << "trial " << trial;
-      EXPECT_EQ(cursor.freq(),
-                p.freqs[static_cast<std::size_t>(it - p.docs.begin())])
-          << "trial " << trial;
-      target = cursor.doc() + 1;
-    }
-  }
-}
-
-TEST(BlockCodec, CursorSkipsBlocksWithoutDecoding) {
-  // 8 full blocks; seeking straight to the last block's first document
-  // passes 7 blocks on metadata alone and decodes nothing.
-  Rng rng(77);
-  const Postings p = randomPostings(rng, 8 * kPostingBlockSize, 6, 4);
-  const EncodedList encoded(p.docs, p.freqs);
-  const BlockPostingList& list = encoded.list;
-  ASSERT_EQ(list.blockCount(), 8u);
-  CursorBuffer buffer;
-  ExecStats stats;
-  TermCursor cursor;
-  cursor.init(list, 1.0, 1.0, &buffer, &stats);
-  cursor.nextGeq(list.block(7).firstDoc);
-  EXPECT_EQ(cursor.doc(), list.block(7).firstDoc);
-  EXPECT_EQ(stats.blocksSkipped, 7u);
-  EXPECT_EQ(stats.blocksDecoded, 0u);
-  EXPECT_EQ(stats.postingsScanned, 0u);
-  // The first frequency access forces exactly one block decode.
-  cursor.freq();
-  EXPECT_EQ(stats.blocksDecoded, 1u);
-  EXPECT_EQ(stats.postingsScanned, kPostingBlockSize);
 }
 
 }  // namespace

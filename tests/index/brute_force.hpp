@@ -48,15 +48,13 @@ inline std::vector<Document> shardDocuments(const std::vector<Document>& docs,
 }
 
 /// Top-k of `docs` by BM25 under `stats` (score descending, ties by
-/// ascending doc id). A term the snapshot does not cover (past the end of
-/// its df vector, or a zero entry) is scored with its df within `docs`.
-/// Disjunctive keeps every document holding a query term; conjunctive
-/// keeps those holding all of them.
+/// ascending doc id) over every document holding a query term. A term the
+/// snapshot does not cover (past the end of its df vector, or a zero
+/// entry) is scored with its df within `docs`.
 inline std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
                                          const GlobalStats& stats,
                                          const std::vector<TermId>& queryTerms,
-                                         std::size_t k, bool conjunctive,
-                                         const Bm25Params& params) {
+                                         std::size_t k, const Bm25Params& params) {
   std::vector<TermId> unique(queryTerms);
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
@@ -77,11 +75,11 @@ inline std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
   for (std::size_t d = 0; d < docs.size(); ++d) {
     const double length = static_cast<double>(docs[d].terms.size());
     double score = 0.0;
-    std::size_t matched = 0;
+    bool matched = false;
     for (std::size_t q = 0; q < width; ++q) {
       const std::uint32_t f = tf[d * width + q];
       if (f == 0) continue;
-      ++matched;
+      matched = true;
       const TermId t = unique[q];
       const std::size_t df =
           t < stats.documentFrequency.size() && stats.documentFrequency[t] > 0
@@ -90,7 +88,7 @@ inline std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
       score += bm25TermScore(bm25Idf(stats.documentCount, df), f, length,
                              stats.avgDocLength, params);
     }
-    if (matched == 0 || (conjunctive && matched < width)) continue;
+    if (!matched) continue;
     scored.push_back(ScoredDoc{docs[d].id, score});
   }
   std::sort(scored.begin(), scored.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
@@ -105,10 +103,8 @@ inline std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
 inline std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
                                          std::uint32_t termCount,
                                          const std::vector<TermId>& queryTerms,
-                                         std::size_t k, bool conjunctive,
-                                         const Bm25Params& params) {
-  return bruteForce(docs, corpusStats(docs, termCount), queryTerms, k, conjunctive,
-                    params);
+                                         std::size_t k, const Bm25Params& params) {
+  return bruteForce(docs, corpusStats(docs, termCount), queryTerms, k, params);
 }
 
 }  // namespace resex

@@ -8,7 +8,6 @@
 #include "index/brute_force.hpp"
 #include "index/partition.hpp"
 #include "index/query_exec.hpp"
-#include "index/wand.hpp"
 #include "util/rng.hpp"
 #include "workload/zipf.hpp"
 
@@ -45,7 +44,7 @@ TEST(DaatEquivalence, IdenticalResultsAcrossSeededCorpora) {
     for (int q = 0; q < 120; ++q) {
       const auto query = randomQuery(rng, termPick, 4);
       // The reference's top-100 holds every smaller k's answer as a prefix.
-      const auto reference = bruteForce(docs, stats, query, 100, false, {});
+      const auto reference = bruteForce(docs, stats, query, 100, {});
       for (const std::size_t k : {1u, 10u, 100u})
         expectBitIdentical(
             topKDisjunctive(index, query, k, Bm25Params{}),
@@ -76,7 +75,7 @@ TEST(DaatEquivalence, IdenticalUnderGlobalStatsAcrossShards) {
     for (std::size_t s = 0; s < part.shardCount(); ++s)
       expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
                                          nullptr, &part.globalStats()),
-                         bruteForce(shardDocs[s], global, query, 10, false, {}));
+                         bruteForce(shardDocs[s], global, query, 10, {}));
   }
 }
 
@@ -97,7 +96,7 @@ TEST(DaatEquivalence, StaleGlobalStatsFallBackToShardLocalDf) {
   stale.documentCount = index.documentCount();
   stale.avgDocLength = index.averageDocLength();
   const auto local = topKDisjunctive(index, query, 10, Bm25Params{});
-  expectBitIdentical(local, bruteForce(docs, config.termCount, query, 10, false, {}));
+  expectBitIdentical(local, bruteForce(docs, config.termCount, query, 10, {}));
   expectBitIdentical(
       topKDisjunctive(index, query, 10, Bm25Params{}, nullptr, &stale), local);
 
@@ -116,14 +115,7 @@ TEST(DaatEquivalence, StaleGlobalStatsFallBackToShardLocalDf) {
     expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
                                        nullptr, &truncated),
                        bruteForce(shardDocuments(docs, part.shard(s)), truncated,
-                                  query, 10, false, {}));
-
-  // MaxScore and WAND share the fallback through buildCursors.
-  EXPECT_NO_THROW(topKMaxScore(part.shard(0), query, 10, Bm25Params{}, nullptr,
-                               &truncated));
-  EXPECT_NO_THROW(
-      topKWand(part.shard(0), query, 10, Bm25Params{}, nullptr, &truncated));
-  EXPECT_NO_THROW(chooseStrategy(part.shard(0), query, &truncated));
+                                  query, 10, {}));
 }
 
 TEST(DaatEquivalence, TiesBreakByAscendingDocId) {
@@ -144,7 +136,7 @@ TEST(DaatEquivalence, TiesBreakByAscendingDocId) {
     const auto query = randomQuery(rng, termPick, 3);
     for (const std::size_t k : {1u, 5u, 11u}) {
       const auto results = topKDisjunctive(index, query, k, Bm25Params{});
-      expectBitIdentical(results, bruteForce(docs, stats, query, k, false, {}));
+      expectBitIdentical(results, bruteForce(docs, stats, query, k, {}));
       for (std::size_t i = 1; i < results.size(); ++i)
         tiedPairs += results[i].score == results[i - 1].score;
     }
@@ -175,12 +167,12 @@ TEST(DaatEquivalence, DuplicateAndAbsentTermsMatchBruteForce) {
       {7, absent, 7},  {oneShard, 2, 2},   {oneShard, absent, 0, 0, 5}};
   for (const auto& query : queries) {
     expectBitIdentical(topKDisjunctive(whole, query, 10, Bm25Params{}),
-                       bruteForce(docs, config.termCount, query, 10, false, {}));
+                       bruteForce(docs, config.termCount, query, 10, {}));
     for (std::size_t s = 0; s < part.shardCount(); ++s)
       expectBitIdentical(topKDisjunctive(part.shard(s), query, 10, Bm25Params{},
                                          nullptr, &part.globalStats()),
                          bruteForce(shardDocuments(docs, part.shard(s)), global,
-                                    query, 10, false, {}));
+                                    query, 10, {}));
   }
   EXPECT_TRUE(topKDisjunctive(whole, {absent}, 10, Bm25Params{}).empty());
 }
@@ -193,7 +185,7 @@ TEST(DaatEquivalence, KAboveMatchCountAndKZero) {
   // k above the match count returns every matching document, ranked.
   ExecStats stats;
   const auto all = topKDisjunctive(index, query, 1 << 20, Bm25Params{}, &stats);
-  expectBitIdentical(all, bruteForce(docs, config.termCount, query, 1 << 20, false, {}));
+  expectBitIdentical(all, bruteForce(docs, config.termCount, query, 1 << 20, {}));
   EXPECT_EQ(all.size(), stats.candidatesScored);
   EXPECT_LT(all.size(), docs.size());
   // k = 0 returns nothing and does no work.
@@ -215,7 +207,7 @@ TEST(DaatEquivalence, IntoVariantReusesOneScratchAcrossQueries) {
     const auto query = randomQuery(rng, termPick, 3);
     const auto view = topKDisjunctiveInto(index, query, 10, Bm25Params{}, scratch);
     const std::vector<ScoredDoc> copied(view.begin(), view.end());
-    expectBitIdentical(copied, bruteForce(docs, stats, query, 10, false, {}));
+    expectBitIdentical(copied, bruteForce(docs, stats, query, 10, {}));
   }
 }
 

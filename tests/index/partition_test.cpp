@@ -110,8 +110,8 @@ TEST(Partition, PerShardWorkScalesWithDocFraction) {
   for (TermId t = 0; t < 30; ++t) {
     const std::vector<TermId> query{t, static_cast<TermId>(t + 1)};
     for (std::size_t s = 0; s < 2; ++s)
-      topKDisjunctiveTaat(part.shard(s), query, 10, Bm25Params{}, &stats[s],
-                          &part.globalStats());
+      topKDisjunctive(part.shard(s), query, 10, Bm25Params{}, &stats[s],
+                      &part.globalStats());
   }
   const double ratio = static_cast<double>(stats[0].postingsScanned) /
                        static_cast<double>(stats[1].postingsScanned);
@@ -131,8 +131,8 @@ TEST(Partition, MeasuredWorkTracksAnalyticCostModel) {
   std::vector<ExecStats> stats(3);
   for (TermId t = 0; t < 40; ++t)
     for (std::size_t s = 0; s < 3; ++s)
-      topKDisjunctiveTaat(part.shard(s), {t}, 10, Bm25Params{}, &stats[s],
-                          &part.globalStats());
+      topKDisjunctive(part.shard(s), {t}, 10, Bm25Params{}, &stats[s],
+                      &part.globalStats());
   EXPECT_NEAR(static_cast<double>(stats[0].postingsScanned),
               static_cast<double>(stats[1].postingsScanned + stats[2].postingsScanned),
               0.15 * static_cast<double>(stats[0].postingsScanned));

@@ -6,20 +6,13 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace resex::serve {
 namespace {
-
-FairShareTreeSpec onePool(std::vector<double> weights) {
-  FairShareTreeSpec spec;
-  double total = 0.0;
-  for (const double w : weights) total += w;
-  spec.pools.push_back({"pool", total});
-  for (const double w : weights) spec.tenants.push_back({w, 0});
-  return spec;
-}
 
 /// Drains `count` dispatches and returns how many each tenant received.
 std::vector<std::size_t> dispatchCounts(FairShareScheduler& scheduler,
@@ -34,7 +27,7 @@ std::vector<std::size_t> dispatchCounts(FairShareScheduler& scheduler,
 }
 
 TEST(FairShareScheduler, DispatchesProportionallyToWeight) {
-  FairShareScheduler scheduler(onePool({3.0, 1.0}));
+  FairShareScheduler scheduler({3.0, 1.0});
   for (int i = 0; i < 20; ++i) {
     scheduler.onEnqueue(0);
     scheduler.onEnqueue(1);
@@ -48,7 +41,7 @@ TEST(FairShareScheduler, DispatchesProportionallyToWeight) {
 }
 
 TEST(FairShareScheduler, IdleTenantBanksNoCredit) {
-  FairShareScheduler scheduler(onePool({1.0, 1.0}));
+  FairShareScheduler scheduler({1.0, 1.0});
   for (int i = 0; i < 10; ++i) scheduler.onEnqueue(0);
   // Tenant 0 drains alone for a while...
   auto got = dispatchCounts(scheduler, 2, 6);
@@ -62,41 +55,61 @@ TEST(FairShareScheduler, IdleTenantBanksNoCredit) {
   EXPECT_EQ(got[1], 3u);
 }
 
-TEST(FairShareScheduler, PoolsShareByMemberSummedWeight) {
-  // Pool 0 shelters two weight-1 tenants (pool weight 2); pool 1 one
-  // weight-1 tenant. Pool 0 earns 2/3 of dispatches, split evenly inside.
-  FairShareTreeSpec spec;
-  spec.pools.push_back({"a", 2.0});
-  spec.pools.push_back({"b", 1.0});
-  spec.tenants.push_back({1.0, 0});
-  spec.tenants.push_back({1.0, 0});
-  spec.tenants.push_back({1.0, 1});
-  FairShareScheduler scheduler(spec);
-  for (TenantId t = 0; t < 3; ++t)
-    for (int i = 0; i < 10; ++i) scheduler.onEnqueue(t);
-  const auto got = dispatchCounts(scheduler, 3, 9);
-  EXPECT_EQ(got[0], 3u);
-  EXPECT_EQ(got[1], 3u);
-  EXPECT_EQ(got[2], 3u);
-  EXPECT_EQ(scheduler.pending(0), 7u);
-  EXPECT_EQ(scheduler.totalPending(), 21u);
+/// Runs `script` against a scheduler built from `weights` the way the
+/// broker builds one (through TenantRegistry). An op with count > 0
+/// enqueues that many tasks for its tenant; an op with count < 0 dispatches
+/// -count tasks (its tenant is ignored). Returns the dispatched tenant ids, one digit each, with a
+/// '|' closing every dispatch op.
+std::string dispatchSequence(const std::vector<double>& weights,
+                             const std::vector<std::pair<TenantId, int>>& script) {
+  std::vector<TenantSpec> specs(weights.size());
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    specs[t].name = std::to_string(t);
+    specs[t].weight = weights[t];
+  }
+  const TenantRegistry registry(specs);
+  FairShareScheduler scheduler(registry.weights());
+  std::string sequence;
+  for (const auto& [tenant, count] : script) {
+    for (int i = 0; i < count; ++i) scheduler.onEnqueue(tenant);
+    if (count > 0) continue;
+    for (int i = 0; i < -count; ++i) {
+      const std::optional<TenantId> next = scheduler.takeNext();
+      sequence += next ? static_cast<char>('0' + *next) : '.';
+    }
+    sequence += '|';
+  }
+  return sequence;
+}
+
+TEST(FairShareScheduler, PinnedDispatchSequences) {
+  // The expected sequences are what the former root -> pools -> tenants
+  // tree dispatched with every tenant alone in its pool, as every caller
+  // configured it; the flat SFQ must dispatch identically.
+  // tenant_bench's 16:1 interactive/batch weights, with batch refilled
+  // mid-run:
+  EXPECT_EQ(dispatchSequence({16.0, 1.0}, {{0, 40}, {1, 5}, {0, -34}, {1, 3}, {0, -14}}),
+            "0100000000000000001000000000000000|01000000011111|");
+  // 3:2:1, where tenant 2 drains, idles through six dispatches, and
+  // returns with a backlog at the current clock instead of banked credit:
+  EXPECT_EQ(dispatchSequence({3.0, 2.0, 1.0},
+                             {{0, 20}, {1, 20}, {2, 2}, {0, -12}, {0, -6}, {2, 6},
+                              {0, -30}}),
+            "012010012010|010100|120100120100120100120112112111|");
 }
 
 TEST(FairShareScheduler, ValidatesTreeAndTransitions) {
-  EXPECT_THROW(FairShareScheduler{FairShareTreeSpec{}}, std::invalid_argument);
-  EXPECT_THROW(FairShareScheduler{onePool({0.0})}, std::invalid_argument);
-  FairShareTreeSpec badPool;
-  badPool.pools.push_back({"p", 1.0});
-  badPool.tenants.push_back({1.0, 7});  // pool index out of range
-  EXPECT_THROW(FairShareScheduler{badPool}, std::invalid_argument);
+  EXPECT_THROW(FairShareScheduler{std::vector<double>{}}, std::invalid_argument);
+  EXPECT_THROW(FairShareScheduler{std::vector<double>({1.0, 0.0})},
+               std::invalid_argument);
 
-  FairShareScheduler scheduler(onePool({1.0}));
+  FairShareScheduler scheduler({1.0});
   EXPECT_EQ(scheduler.pickNext(), std::nullopt);
   EXPECT_THROW(scheduler.onDequeue(0), std::logic_error);  // dequeue while idle
 }
 
 TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
-  FairShareQueue<int> queue(onePool({2.0, 1.0}));
+  FairShareQueue<int> queue({2.0, 1.0});
   for (const int v : {10, 11, 12, 13}) ASSERT_TRUE(queue.push(v, 0));
   for (const int v : {20, 21}) ASSERT_TRUE(queue.push(v, 1));
   EXPECT_EQ(queue.size(), 6u);
@@ -112,7 +125,7 @@ TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
 }
 
 TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
-  FairShareQueue<int> queue(onePool({1.0, 1.0}));
+  FairShareQueue<int> queue({1.0, 1.0});
   ASSERT_TRUE(queue.push(1, 0));
   ASSERT_TRUE(queue.push(2, 1));
   queue.close();
@@ -123,7 +136,7 @@ TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
 }
 
 TEST(FairShareQueue, BlockedPopWakesOnPush) {
-  FairShareQueue<int> queue(onePool({1.0}));
+  FairShareQueue<int> queue({1.0});
   std::optional<int> got;
   std::thread consumer([&] { got = queue.pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -134,7 +147,7 @@ TEST(FairShareQueue, BlockedPopWakesOnPush) {
 }
 
 TEST(FairShareQueue, CloseWakesBlockedConsumer) {
-  FairShareQueue<int> queue(onePool({1.0}));
+  FairShareQueue<int> queue({1.0});
   std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   queue.close();
@@ -145,7 +158,7 @@ TEST(FairShareQueue, ConcurrentProducersConsumersDeliverEverything) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 500;
-  FairShareQueue<int> queue(onePool({1.0, 2.0}));
+  FairShareQueue<int> queue({1.0, 2.0});
   std::atomic<long> sum{0};
   std::atomic<int> received{0};
   std::vector<std::thread> threads;

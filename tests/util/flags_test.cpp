@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 namespace resex {
 namespace {
@@ -143,6 +145,42 @@ TEST(Flags, OutOfRangeIntegerRejectedWithMessage) {
   auto argv = argvOf({"prog", "--big=999999999999999999999999"});
   f.parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_THROW((void)f.integer("big"), std::runtime_error);
+}
+
+TEST(Flags, CountRejectsNegativeAndOutOfRangeValues) {
+  Flags f;
+  f.define("workers", "4", "workers");
+  f.define("port", "1", "port");
+  f.define("seed", "0", "seed");
+  auto argv = argvOf({"prog", "--workers=-1", "--port=70000",
+                      "--seed=9223372036854775807"});
+  f.parse(static_cast<int>(argv.size()), argv.data());
+  // A negative count must not wrap to SIZE_MAX.
+  try {
+    (void)f.count("workers");
+    FAIL() << "negative count accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--workers"), std::string::npos) << what;
+    EXPECT_NE(what.find("'-1'"), std::string::npos) << what;
+  }
+  // Past the target type's range: rejected, not truncated.
+  try {
+    (void)f.count<std::uint16_t>("port");
+    FAIL() << "out-of-range count accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--port"), std::string::npos) << what;
+    EXPECT_NE(what.find("'70000'"), std::string::npos) << what;
+    EXPECT_NE(what.find("65535"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)f.count<std::uint32_t>("seed"), std::runtime_error);
+  // In range: the value, at the edges too.
+  EXPECT_EQ(f.count<std::uint64_t>("seed"), 9223372036854775807ull);
+  f.define("zero", "0", "zero");
+  f.define("max16", "65535", "max16");
+  EXPECT_EQ(f.count("zero"), 0u);
+  EXPECT_EQ(f.count<std::uint16_t>("max16"), 65535u);
 }
 
 TEST(Flags, WellFormedValuesStillParse) {
