@@ -6,13 +6,14 @@
 // gracefully with size at fixed budget; the portfolio holds quality
 // longer by spending cores instead of time.
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "core/baselines.hpp"
 #include "core/sra.hpp"
 #include "model/bounds.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
@@ -20,10 +21,10 @@ constexpr double kBudgetSeconds = 1.5;
 }
 
 int main() {
+  const unsigned searches = std::max(1u, std::thread::hardware_concurrency());
   std::printf("== T4: scalability at a fixed %.1fs wall-clock budget ==\n",
               kBudgetSeconds);
-  std::printf("portfolio uses %zu worker threads\n\n",
-              resex::globalPool().threadCount());
+  std::printf("portfolio uses %u worker threads\n\n", searches);
 
   resex::Table table({"machines", "shards", "lower-bound", "SRA-1", "SRA-portfolio",
                       "swap-LS", "SRA-1 secs", "portfolio secs", "LS secs"});
@@ -47,7 +48,7 @@ int main() {
     const resex::RebalanceResult rSingle = sraSingle.rebalance(instance);
 
     resex::SraConfig multi = single;
-    multi.portfolioSearches = resex::globalPool().threadCount();
+    multi.portfolioSearches = searches;
     resex::Sra sraMulti(multi);
     const resex::RebalanceResult rMulti = sraMulti.rebalance(instance);
 

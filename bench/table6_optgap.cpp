@@ -4,17 +4,31 @@
 // compared against the true optimum of the IP model (and the optimum's
 // feasibility is audited against the explicit IP constraints). Expected
 // shape: SRA within a few percent of optimal everywhere, usually exact.
+//
+//   ./table6_optgap [--check]
+//
+// --check exits nonzero unless SRA matches the optimum on at least
+// kCheckMatches of the 18 instances.
 
 #include <cstdio>
 
 #include "core/sra.hpp"
 #include "model/branch_bound.hpp"
 #include "model/ip_model.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/synthetic.hpp"
 
-int main() {
+namespace {
+constexpr int kCheckMatches = 17;
+}
+
+int main(int argc, char** argv) {
+  resex::Flags flags;
+  flags.define("check", "false", "exit nonzero unless SRA is near-optimal");
+  flags.parse(argc, argv);
+
   std::printf("== T6: SRA vs exact branch-and-bound on the IP model ==\n\n");
 
   resex::Table table({"machines", "shards", "k", "seed", "optimal", "SRA", "gap",
@@ -70,5 +84,11 @@ int main() {
   table.print();
   std::printf("\nmean gap %.2f%%, max gap %.2f%%, exact on %d/%d instances\n",
               gaps.mean() * 100.0, gaps.max() * 100.0, exactMatches, total);
+  if (flags.boolean("check") && exactMatches < kCheckMatches) {
+    std::fprintf(stderr, "CHECK FAILED: SRA matched the optimum on %d instances, "
+                         "fewer than %d of 18\n",
+                 exactMatches, kCheckMatches);
+    return 1;
+  }
   return 0;
 }

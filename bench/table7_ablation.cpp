@@ -2,11 +2,10 @@
 //
 // One tight instance, one knob toggled per row: adaptive operator weights,
 // each destroy operator in isolation, each repair operator in isolation,
-// the final polish, two-hop staging in the scheduler, and the acceptance
-// criterion. Expected shape: the full configuration is at or near the
-// best on bottleneck; staging off breaks schedule completeness on tight
-// instances; vacancy-drain off leaves the compensation unreachable when
-// exchange machines were used.
+// the final polish, and two-hop staging in the scheduler. Expected shape:
+// the full configuration is at or near the best on bottleneck; staging off
+// breaks schedule completeness on tight instances; vacancy-drain off
+// leaves the compensation unreachable when exchange machines were used.
 
 #include <cstdio>
 #include <functional>
@@ -124,14 +123,6 @@ int main() {
          s.addDestroy(std::make_unique<resex::RandomDestroy>());
          s.addDestroy(std::make_unique<resex::WorstMachineDestroy>());
          s.addDestroy(std::make_unique<resex::ShawDestroy>());
-       }},
-      {"destroy: default + binding-dim",
-       [](resex::LnsSolver& s) {
-         s.addDestroy(std::make_unique<resex::RandomDestroy>());
-         s.addDestroy(std::make_unique<resex::WorstMachineDestroy>());
-         s.addDestroy(std::make_unique<resex::ShawDestroy>());
-         s.addDestroy(std::make_unique<resex::VacancyDestroy>());
-         s.addDestroy(std::make_unique<resex::BindingDimensionDestroy>());
        }},
       {"repair: greedy only",
        [](resex::LnsSolver& s) {

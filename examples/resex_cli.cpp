@@ -139,13 +139,17 @@ int cmdSolve(const Instance& instance, Flags& flags) {
 
 int cmdQuickstart(Flags& flags) {
   // One controller epoch over a skewed synthetic cluster: trigger -> LNS
-  // solve -> migration schedule -> execution, all instrumented.
+  // solve -> migration schedule -> execution, all instrumented. Every flag
+  // is read (and so validated) before any work starts.
   SyntheticConfig gen;
   gen.seed = flags.count<std::uint64_t>("seed");
   gen.machines = flags.count("machines");
   gen.exchangeMachines = flags.count("exchange");
   gen.loadFactor = flags.real("load");
   gen.placementSkew = 1.0;
+  const auto iterations = flags.count("iters");
+  const double budgetSeconds = flags.real("budget");
+  const auto queryCount = flags.count("queries");
   const Instance instance = generateSynthetic(gen);
   std::printf("instance:   %zu machines (+%zu exchange), %zu shards, load %.2f\n",
               instance.regularCount(), instance.exchangeCount(),
@@ -154,8 +158,8 @@ int cmdQuickstart(Flags& flags) {
   ControllerConfig control;
   control.trigger.always = true;  // the tour always shows a rebalance
   control.sra.lns.seed = gen.seed;
-  control.sra.lns.maxIterations = flags.count("iters");
-  control.sra.lns.timeBudgetSeconds = flags.real("budget");
+  control.sra.lns.maxIterations = iterations;
+  control.sra.lns.timeBudgetSeconds = budgetSeconds;
   ClusterController controller(control);
   const EpochReport report = controller.step(instance);
   std::printf("rebalance:  %s -> %s (%.2f MB moved, %zu staged hops)\n",
@@ -170,7 +174,6 @@ int cmdQuickstart(Flags& flags) {
   const InvertedIndex index(docs.termCount, generateDocuments(docs));
   Rng rng(gen.seed);
   const ZipfSampler termPick(docs.termCount, 0.9);
-  const auto queryCount = flags.count("queries");
   for (std::size_t q = 0; q < queryCount; ++q) {
     const std::vector<TermId> query{
         static_cast<TermId>(termPick.sample(rng) - 1),

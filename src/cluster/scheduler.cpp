@@ -63,9 +63,6 @@ struct Builder {
   bool tryAccept(ShardId s, MachineId to) {
     const MachineId from = where[s];
     if (from == to || movedThisPhase[s]) return false;
-    if (options->maxMovesPerPhase != 0 &&
-        phase.moves.size() >= options->maxMovesPerPhase)
-      return false;
     if (replicaBlocked(s, to)) return false;
     const Shard& shard = instance->shard(s);
     const ResourceVector extra = shard.demand.hadamard(instance->transientGamma());

@@ -27,9 +27,6 @@ struct SchedulerOptions {
   /// Upper bound on total extra hops, as a multiple of the initial move
   /// count (plus a small constant); the global thrash guard.
   double maxStagingFactor = 2.0;
-  /// Cap on moves per phase (0 = unlimited); models a migration-bandwidth
-  /// limit of the datacenter fabric.
-  std::size_t maxMovesPerPhase = 0;
 };
 
 class MigrationScheduler {

@@ -62,20 +62,11 @@ EpochReport ClusterController::step(const Instance& instance) {
     report.scheduleComplete = result.scheduleComplete();
     report.unscheduledMoves = result.schedule.unscheduled.size();
     report.solveSeconds = result.solveSeconds;
-    const bool overBudget = config_.bytesBudgetPerEpoch > 0.0 &&
-                            result.schedule.totalBytes > config_.bytesBudgetPerEpoch;
-    const bool discardPartial =
-        !result.schedule.complete &&
-        config_.partialPolicy == PartialSchedulePolicy::kDiscard;
-    if (overBudget) {
-      registry.counter("controller.over_budget").add();
-    } else if (discardPartial) {
-      registry.counter("controller.partial_discarded").add();
-    } else if (config_.useExecutor) {
+    report.executed = true;
+    if (config_.useExecutor) {
       const MigrationExecutor executor(config_.executor);
       ExecutionReport execution = executor.execute(instance, result.schedule,
                                                    config_.faults, config_.dataPlane);
-      report.executed = true;
       // The executor's leftovers subsume the plan's unscheduled intents
       // (its target includes them), so they are the honest count here.
       report.unscheduledMoves = execution.unexecutedMoves.size();
@@ -88,20 +79,16 @@ EpochReport ClusterController::step(const Instance& instance) {
       mapping_ = std::move(execution.finalMapping);
       Assignment achieved(instance, mapping_);
       report.after = measureBalance(achieved);
-      registry.counter("controller.executed").add();
       if (execution.degraded) registry.counter("controller.degraded_epochs").add();
-      cumulativeBytes_ += execution.committedBytes;
-      ++executed_;
     } else {
-      report.executed = true;
       report.executedBytes = result.schedule.totalBytes;
       report.after = result.after;
       recordScheduleExecution(result.schedule);
-      registry.counter("controller.executed").add();
       mapping_ = std::move(result.finalMapping);
-      cumulativeBytes_ += result.schedule.totalBytes;
-      ++executed_;
     }
+    registry.counter("controller.executed").add();
+    cumulativeBytes_ += report.executedBytes;
+    ++executed_;
   }
 
   registry.gauge("controller.bottleneck_util").set(report.after.bottleneckUtil);

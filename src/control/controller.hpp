@@ -2,10 +2,9 @@
 //
 // Production rebalancing is not a one-shot solve: an operator (or an
 // automated controller) watches balance metrics epoch over epoch, decides
-// *when* a rebalance pays for itself, bounds the migration traffic each
-// window may consume, and carries the placement forward. This module
-// packages that loop: a hysteresis trigger, a per-epoch byte budget, and
-// a history of what happened.
+// *when* a rebalance pays for itself and carries the placement forward.
+// This module packages that loop: a hysteresis trigger and a history of
+// what happened.
 #pragma once
 
 #include <optional>
@@ -46,25 +45,9 @@ class RebalanceTrigger {
   std::size_t lastFired_ = 0;
 };
 
-/// What the controller does with an *incomplete* schedule (the scheduler
-/// could not place every relocation even with staging).
-enum class PartialSchedulePolicy {
-  /// Execute the phases that were scheduled; the mapping advances to the
-  /// schedule's achieved end state and the leftovers are reported.
-  kExecutePartial,
-  /// Discard the plan entirely: the mapping stays put, the epoch reports
-  /// the unscheduled moves.
-  kDiscard,
-};
-
 struct ControllerConfig {
   TriggerConfig trigger;
   SraConfig sra;
-  /// Migration bytes one epoch's rebalance may consume; a plan exceeding
-  /// the budget is discarded (reported, not executed). <= 0 disables.
-  double bytesBudgetPerEpoch = 0.0;
-  /// Disposition of incomplete schedules (see PartialSchedulePolicy).
-  PartialSchedulePolicy partialPolicy = PartialSchedulePolicy::kExecutePartial;
   /// Route schedule execution through the fault-tolerant MigrationExecutor
   /// instead of assuming plans execute perfectly. Faults from `faults` are
   /// injected (empty plan = clean execution); crashes trigger mid-flight
@@ -83,8 +66,8 @@ struct ControllerConfig {
 struct EpochReport {
   std::size_t epoch = 0;
   bool triggered = false;
-  /// False when the trigger fired but the plan was discarded (over budget,
-  /// or incomplete under PartialSchedulePolicy::kDiscard).
+  /// Every triggered plan executes; an incomplete schedule executes the
+  /// phases it scheduled and reports the rest in unscheduledMoves.
   bool executed = false;
   BalanceMetrics before;
   BalanceMetrics after;
@@ -130,8 +113,7 @@ class ClusterController {
   EpochReport step(const Instance& instance);
 
   /// Computes the epoch's rebalance plan (default: one SRA pass). Virtual
-  /// so tests can inject crafted plans — e.g. incomplete schedules — into
-  /// the execution policies.
+  /// so tests can inject crafted plans, e.g. incomplete schedules.
   virtual RebalanceResult plan(const Instance& instance);
 
   /// The cluster's current mapping (empty before the first step).

@@ -1,35 +1,16 @@
-// Acceptance criteria for LNS: whether to keep a repaired solution.
+// LNS acceptance: simulated annealing decides whether to keep a repaired
+// solution that is worse than the current one.
 #pragma once
 
-#include <memory>
-#include <string_view>
+#include <cstddef>
 
 #include "util/rng.hpp"
 
 namespace resex {
 
-/// All criteria compare scalarized objective values (smaller is better).
-class AcceptanceCriterion {
- public:
-  virtual ~AcceptanceCriterion() = default;
-  virtual std::string_view name() const noexcept = 0;
-  /// `candidate`/`current`/`best` are scalarized objective values.
-  virtual bool accept(double candidate, double current, double best, Rng& rng) = 0;
-  /// Called once per iteration (cooling etc.).
-  virtual void onIteration() {}
-};
-
-/// Accept only non-worsening candidates.
-class HillClimbAcceptance final : public AcceptanceCriterion {
- public:
-  std::string_view name() const noexcept override { return "hill-climb"; }
-  bool accept(double candidate, double current, double /*best*/, Rng& /*rng*/) override {
-    return candidate <= current + 1e-12;
-  }
-};
-
-/// Classic simulated annealing with geometric cooling.
-class SimulatedAnnealingAcceptance final : public AcceptanceCriterion {
+/// Classic simulated annealing with geometric cooling, over scalarized
+/// objective values (smaller is better).
+class SimulatedAnnealingAcceptance {
  public:
   /// Temperature starts at `initialTemp` and multiplies by `cooling` per
   /// iteration, floored at `minTemp`.
@@ -38,35 +19,17 @@ class SimulatedAnnealingAcceptance final : public AcceptanceCriterion {
 
   /// Picks parameters so the temperature decays from `startGap` (a typical
   /// worsening step size) to ~minTemp over `horizon` iterations.
-  static std::unique_ptr<SimulatedAnnealingAcceptance> forHorizon(double startGap,
-                                                                  std::size_t horizon);
+  static SimulatedAnnealingAcceptance forHorizon(double startGap, std::size_t horizon);
 
-  std::string_view name() const noexcept override { return "annealing"; }
-  bool accept(double candidate, double current, double best, Rng& rng) override;
-  void onIteration() override;
+  bool accept(double candidate, double current, Rng& rng) const;
+  /// Cools by one step; called once per iteration.
+  void onIteration();
   double temperature() const noexcept { return temp_; }
 
  private:
   double temp_;
   double cooling_;
   double minTemp_;
-};
-
-/// Record-to-record travel: accept anything within a shrinking band above
-/// the best known value.
-class RecordToRecordAcceptance final : public AcceptanceCriterion {
- public:
-  explicit RecordToRecordAcceptance(double initialBand, double decay = 0.99995)
-      : band_(initialBand), decay_(decay) {}
-  std::string_view name() const noexcept override { return "record-to-record"; }
-  bool accept(double candidate, double /*current*/, double best, Rng& /*rng*/) override {
-    return candidate <= best + band_;
-  }
-  void onIteration() override { band_ *= decay_; }
-
- private:
-  double band_;
-  double decay_;
 };
 
 }  // namespace resex

@@ -102,43 +102,6 @@ void ShawDestroy::destroyInto(Assignment& assignment, std::size_t quota, Rng& rn
   }
 }
 
-void BindingDimensionDestroy::destroyInto(Assignment& assignment, std::size_t quota,
-                                          Rng& rng, Ruin& out) {
-  const Instance& instance = assignment.instance();
-  std::size_t guard = 0;
-  while (out.size() < quota && guard++ < quota * 4 + 8) {
-    // Re-derive the bottleneck each round: removals shift it. (O(1) now
-    // that Assignment tracks it incrementally.)
-    const MachineId hot = assignment.bottleneckMachine();
-    const ResourceVector& load = assignment.loadOf(hot);
-    const ResourceVector& cap = instance.machine(hot).capacity;
-    std::size_t bindingDim = 0;
-    double worst = -1.0;
-    for (std::size_t d = 0; d < instance.dims(); ++d) {
-      const double u = cap[d] > 0.0 ? load[d] / cap[d] : 0.0;
-      if (u > worst) {
-        worst = u;
-        bindingDim = d;
-      }
-    }
-    const auto resident = assignment.shardsOn(hot);
-    if (resident.empty()) break;
-    // Heaviest shard in the binding dimension, with light randomization
-    // between the top two so repeats diversify.
-    ShardId best = resident[0];
-    ShardId second = resident[0];
-    for (const ShardId s : resident) {
-      if (instance.shard(s).demand[bindingDim] >
-          instance.shard(best).demand[bindingDim]) {
-        second = best;
-        best = s;
-      }
-    }
-    const ShardId victim = (second != best && rng.chance(0.3)) ? second : best;
-    out.take(assignment, victim);
-  }
-}
-
 void VacancyDestroy::destroyInto(Assignment& assignment, std::size_t quota, Rng& rng,
                                  Ruin& out) {
   const Instance& instance = assignment.instance();

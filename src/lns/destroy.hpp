@@ -68,17 +68,4 @@ class VacancyDestroy final : public DestroyOperator {
   std::vector<ShardId> toRemove_;    // scratch
 };
 
-/// Targets the *binding dimension*: finds the bottleneck machine's worst
-/// resource dimension and removes the shards that consume the most of it
-/// there (plus a few from the runner-up machines). On multi-dimensional
-/// instances this attacks exactly the constraint that pins the objective;
-/// not in the default portfolio (redundant with worst-machine on 1-2 dim
-/// instances) — register it explicitly for dimension-heavy workloads.
-class BindingDimensionDestroy final : public DestroyOperator {
- public:
-  std::string_view name() const noexcept override { return "binding-dim"; }
-  void destroyInto(Assignment& assignment, std::size_t quota, Rng& rng,
-                   Ruin& out) override;
-};
-
 }  // namespace resex

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lns/accept.hpp"
 #include "lns/destroy.hpp"
 #include "lns/repair.hpp"
 #include "obs/context.hpp"
@@ -9,6 +10,16 @@
 #include "util/log.hpp"
 
 namespace resex {
+
+namespace {
+
+// Ruin size is drawn uniformly in [kDestroyMin, kDestroyMax] each
+// iteration, additionally capped at kDestroyFractionCap * shardCount.
+constexpr std::size_t kDestroyMin = 4;
+constexpr std::size_t kDestroyMax = 60;
+constexpr double kDestroyFractionCap = 0.2;
+
+}  // namespace
 
 LnsSolver::LnsSolver(const Instance& instance, Objective objective, LnsConfig config)
     : instance_(&instance), objective_(objective), config_(config) {}
@@ -19,10 +30,6 @@ void LnsSolver::addDestroy(std::unique_ptr<DestroyOperator> op) {
 
 void LnsSolver::addRepair(std::unique_ptr<RepairOperator> op) {
   repairs_.push_back(std::move(op));
-}
-
-void LnsSolver::setAcceptance(std::unique_ptr<AcceptanceCriterion> acceptance) {
-  acceptance_ = std::move(acceptance);
 }
 
 void LnsSolver::installDefaults() {
@@ -78,23 +85,16 @@ LnsResult LnsSolver::solve(const Assignment& start) {
   AdaptiveSelector destroySel(destroys_.size(), !config_.adaptiveWeights);
   AdaptiveSelector repairSel(repairs_.size(), !config_.adaptiveWeights);
 
-  // Default acceptance: annealing whose horizon matches the iteration
-  // budget and whose initial temperature is a small fraction of the
-  // starting objective (so early worsening moves of a few percent pass).
-  std::unique_ptr<AcceptanceCriterion> defaultAcceptance;
-  AcceptanceCriterion* acceptance = acceptance_.get();
-  if (acceptance == nullptr) {
-    defaultAcceptance = SimulatedAnnealingAcceptance::forHorizon(
-        0.02 * std::max(0.5, currentScalar), std::max<std::size_t>(1, config_.maxIterations));
-    acceptance = defaultAcceptance.get();
-  }
+  // Annealing whose horizon matches the iteration budget and whose initial
+  // temperature is a small fraction of the starting objective (so early
+  // worsening moves of a few percent pass).
+  SimulatedAnnealingAcceptance acceptance = SimulatedAnnealingAcceptance::forHorizon(
+      0.02 * std::max(0.5, currentScalar), std::max<std::size_t>(1, config_.maxIterations));
 
   const std::size_t n = instance_->shardCount();
   const auto fractionCap = static_cast<std::size_t>(
-      std::max(1.0, config_.destroyFractionCap * static_cast<double>(n)));
-  const std::size_t quotaLo = std::max<std::size_t>(1, config_.destroyMin);
-  const std::size_t quotaHi =
-      std::max(quotaLo, std::min(config_.destroyMax, fractionCap));
+      std::max(1.0, kDestroyFractionCap * static_cast<double>(n)));
+  const std::size_t quotaHi = std::max(kDestroyMin, std::min(kDestroyMax, fractionCap));
 
   Ruin ruin;  // (shard, previous machine) pairs, reused per iteration —
               // everything rollback needs without an O(n) mapping snapshot
@@ -111,7 +111,7 @@ LnsResult LnsSolver::solve(const Assignment& start) {
     const std::size_t rOp = repairSel.select(rng);
     mDestroyPicks[dOp]->add();
     mRepairPicks[rOp]->add();
-    const std::size_t quota = quotaLo + rng.below(quotaHi - quotaLo + 1);
+    const std::size_t quota = kDestroyMin + rng.below(quotaHi - kDestroyMin + 1);
 
     ruin.clear();
     {
@@ -139,20 +139,19 @@ LnsResult LnsSolver::solve(const Assignment& start) {
       mRepairFailures.add();
       destroySel.reward(dOp, OperatorOutcome::RepairFailed);
       repairSel.reward(rOp, OperatorOutcome::RepairFailed);
-      acceptance->onIteration();
+      acceptance.onIteration();
       continue;
     }
 
     const Score candidateScore = objective_.evaluate(current);
     const double candidateScalar = objective_.scalarize(candidateScore);
-    const double bestScalar = objective_.scalarize(result.bestScore);
 
     OperatorOutcome outcome;
     if (candidateScore.betterThan(result.bestScore)) {
       outcome = OperatorOutcome::NewBest;
     } else if (candidateScalar < currentScalar) {
       outcome = OperatorOutcome::Improved;
-    } else if (acceptance->accept(candidateScalar, currentScalar, bestScalar, rng)) {
+    } else if (acceptance.accept(candidateScalar, currentScalar, rng)) {
       outcome = OperatorOutcome::Accepted;
     } else {
       outcome = OperatorOutcome::Rejected;
@@ -177,7 +176,7 @@ LnsResult LnsSolver::solve(const Assignment& start) {
     }
     destroySel.reward(dOp, outcome);
     repairSel.reward(rOp, outcome);
-    acceptance->onIteration();
+    acceptance.onIteration();
 
     // Periodically rebuild caches: float accumulation over millions of
     // incremental +=/-= must never skew comparisons.

@@ -2,12 +2,10 @@
 // selection, rollback-safe iterations, and best-solution tracking.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "cluster/assignment.hpp"
 #include "core/objective.hpp"
-#include "lns/accept.hpp"
 #include "lns/adaptive.hpp"
 #include "lns/operators.hpp"
 #include "util/timer.hpp"
@@ -18,11 +16,6 @@ struct LnsConfig {
   std::uint64_t seed = 1;
   std::size_t maxIterations = 20000;
   double timeBudgetSeconds = 30.0;
-  /// Ruin size drawn uniformly in [min, max] each iteration, additionally
-  /// capped at fractionCap * shardCount.
-  std::size_t destroyMin = 4;
-  std::size_t destroyMax = 60;
-  double destroyFractionCap = 0.2;
   /// Adaptive operator weights (false = uniform selection; ablation knob).
   bool adaptiveWeights = true;
   /// Record (iteration, best scalar) whenever the best improves, for
@@ -68,8 +61,6 @@ class LnsSolver {
   /// shaw / vacancy-drain destroys and greedy(+noise) / regret-2 repairs.
   void addDestroy(std::unique_ptr<DestroyOperator> op);
   void addRepair(std::unique_ptr<RepairOperator> op);
-  /// Overrides the default acceptance (annealing tuned to the horizon).
-  void setAcceptance(std::unique_ptr<AcceptanceCriterion> acceptance);
 
   /// Runs the search from `start` (typically the instance's initial
   /// placement). The start may violate capacity or vacancy; the search
@@ -88,7 +79,6 @@ class LnsSolver {
   LnsConfig config_;
   std::vector<std::unique_ptr<DestroyOperator>> destroys_;
   std::vector<std::unique_ptr<RepairOperator>> repairs_;
-  std::unique_ptr<AcceptanceCriterion> acceptance_;
 };
 
 }  // namespace resex

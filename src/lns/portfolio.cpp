@@ -24,9 +24,6 @@ PortfolioResult solvePortfolio(const Instance& instance, const Objective& object
   for (std::size_t i = 0; i < searches; ++i) seeds[i] = splitmix64(state);
 
   WallTimer timer;
-  // Dedicated threads, NOT globalPool(): searches may run parallelFor on
-  // the pool internally, and blocking pool workers on other pool work is a
-  // deadlock hazard (see portfolio.hpp).
   std::vector<LnsResult> results(searches);
   std::vector<std::exception_ptr> errors(searches);
   {
@@ -37,9 +34,7 @@ PortfolioResult solvePortfolio(const Instance& instance, const Objective& object
         try {
           LnsConfig lnsConfig = config.lns;
           lnsConfig.seed = seeds[i];
-          LnsSolver solver(instance, objective, lnsConfig);
-          if (config.configure) config.configure(solver);
-          results[i] = solver.solve();
+          results[i] = LnsSolver(instance, objective, lnsConfig).solve();
         } catch (...) {
           errors[i] = std::current_exception();
         }

@@ -3,15 +3,11 @@
 // seed set and search count (searches never communicate mid-run, and the
 // winner is picked by a fixed scan order with a lowest-index tie-break).
 //
-// Threading model: portfolio searches deliberately do NOT run on the shared
-// globalPool(). A search may itself fan work out via parallelFor on that
-// pool; if the searches also occupied every pool worker while the caller
-// blocked on their futures, the inner parallelFor tasks could never be
-// scheduled — a deadlock (and, short of that, oversubscription). Dedicated
-// std::threads keep the pool free for nested parallelism.
+// Threading model: one std::thread per search, joined before the winner is
+// picked. A search is single-threaded, only reads the instance and the
+// objective, and counts into the thread-safe metrics registry, so the
+// searches need no pool and no locking.
 #pragma once
-
-#include <functional>
 
 #include "lns/lns.hpp"
 
@@ -25,10 +21,6 @@ struct PortfolioConfig {
   std::uint64_t baseSeed = 1;
   /// Per-search LNS configuration (seed field is overridden).
   LnsConfig lns;
-  /// Optional per-search solver setup hook (register custom operators,
-  /// acceptance, ...). Called once per search, on that search's thread,
-  /// before solve(); must be safe to invoke concurrently.
-  std::function<void(LnsSolver&)> configure;
 };
 
 struct PortfolioResult {

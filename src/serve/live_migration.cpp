@@ -73,8 +73,8 @@ LiveCluster::LiveCluster(const Instance& instance, const PartitionedIndex& index
     residentBytes_[mapping_[s]][s] = segment->fileBytes();
     table_[s] = std::make_shared<const InvertedIndex>(std::move(segment));
   }
+  const double budget = config_.dataBudgetBytes;
   for (MachineId m = 0; m < machineCount_; ++m) {
-    const double budget = dataBudgetOf(m);
     if (budget > 0.0 && residentBytes(m) > budget)
       throw std::invalid_argument(
           "LiveCluster: initial layout exceeds machine " + std::to_string(m) +
@@ -107,13 +107,6 @@ double LiveCluster::residentBytes(MachineId machine) const {
   return total;
 }
 
-double LiveCluster::dataBudgetOf(MachineId machine) const {
-  if (machine < config_.dataBudgetPerMachine.size() &&
-      config_.dataBudgetPerMachine[machine] > 0.0)
-    return config_.dataBudgetPerMachine[machine];
-  return config_.dataBudgetBytes;
-}
-
 std::vector<MachineId> LiveCluster::mapping() const {
   std::lock_guard lock(mutex_);
   return mapping_;
@@ -136,7 +129,7 @@ bool LiveCluster::admitCopy(ShardId shard, MachineId from, MachineId to) {
   const auto src = residentBytes_[from].find(shard);
   if (src == residentBytes_[from].end()) return false;  // no source file
   if (pending_.count(shard)) return false;              // already in flight
-  const double budget = dataBudgetOf(to);
+  const double budget = config_.dataBudgetBytes;
   if (budget > 0.0) {
     double resident = 0.0;
     for (const auto& [s, bytes] : residentBytes_[to])

@@ -54,12 +54,9 @@ struct LiveClusterConfig {
   double migrationBandwidth = 0.0;
   std::size_t copyChunkBytes = 256 * 1024;
   /// Per-machine byte budget for resident segment data (steady copies plus
-  /// in-flight dual residency). <= 0 = unlimited. One value for every
-  /// machine; see dataBudgetOf for per-machine overrides.
+  /// in-flight dual residency), the same for every machine. <= 0 =
+  /// unlimited.
   double dataBudgetBytes = 0.0;
-  /// Per-machine overrides (indexed by machine id); entries <= 0 fall back
-  /// to dataBudgetBytes.
-  std::vector<double> dataBudgetPerMachine;
   /// How long commitMove waits for in-flight queries on the source replica
   /// to release their references before dropping it anyway.
   double drainTimeoutSeconds = 5.0;
@@ -101,7 +98,6 @@ class LiveCluster : public MigrationDataPlane {
   /// Bytes of published segment files resident on `machine` (temps and a
   /// crashed machine's frozen debris excluded until recovery).
   double residentBytes(MachineId machine) const;
-  double dataBudgetOf(MachineId machine) const;
   /// The plane's view of shard placement (kept in lockstep with the broker
   /// through commitMove).
   std::vector<MachineId> mapping() const;

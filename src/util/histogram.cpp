@@ -2,55 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace resex {
-
-namespace {
-
-/// Validates the LinearHistogram bounds *before* any member is computed
-/// from them (a zero bucket count or inverted range must never reach the
-/// width division or size counts_).
-double checkedBucketWidth(double lo, double hi, std::size_t buckets) {
-  if (buckets == 0) throw std::invalid_argument("LinearHistogram: zero buckets");
-  if (!(hi > lo)) throw std::invalid_argument("LinearHistogram: hi must exceed lo");
-  return (hi - lo) / static_cast<double>(buckets);
-}
-
-}  // namespace
-
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), bucketWidth_(checkedBucketWidth(lo, hi, buckets)),
-      counts_(buckets, 0) {}
-
-void LinearHistogram::add(double x) noexcept {
-  if (std::isnan(x)) return;  // casting NaN to an index is UB; drop it
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / bucketWidth_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double LinearHistogram::bucketLow(std::size_t bucket) const {
-  return lo_ + bucketWidth_ * static_cast<double>(bucket);
-}
-
-std::string LinearHistogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (const std::size_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char label[64];
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    std::snprintf(label, sizeof label, "%10.3f | ", bucketLow(b));
-    out += label;
-    const std::size_t bar = counts_[b] * width / peak;
-    out.append(bar, '#');
-    std::snprintf(label, sizeof label, " %zu\n", counts_[b]);
-    out += label;
-  }
-  return out;
-}
 
 LatencyHistogram::LatencyHistogram(double minValue, int subBucketsPerOctave)
     : minValue_(minValue), subBuckets_(subBucketsPerOctave),
@@ -95,33 +49,6 @@ void LatencyHistogram::reset() noexcept {
   total_ = 0;
   sum_ = 0.0;
   maxSeen_ = 0.0;
-}
-
-double LatencyHistogram::bucketUpper(std::size_t bucket) const noexcept {
-  if (bucket == 0) return minValue_;
-  return minValue_ * std::exp(static_cast<double>(bucket) * logBase_);
-}
-
-std::string LatencyHistogram::toPrometheusText(const std::string& name) const {
-  std::string out = "# TYPE " + name + " histogram\n";
-  char line[160];
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    cumulative += counts_[b];
-    std::snprintf(line, sizeof line, "%s_bucket{le=\"%.9g\"} %llu\n",
-                  name.c_str(), bucketUpper(b),
-                  static_cast<unsigned long long>(cumulative));
-    out += line;
-  }
-  std::snprintf(line, sizeof line, "%s_bucket{le=\"+Inf\"} %llu\n", name.c_str(),
-                static_cast<unsigned long long>(total_));
-  out += line;
-  std::snprintf(line, sizeof line, "%s_sum %.9g\n", name.c_str(), sum_);
-  out += line;
-  std::snprintf(line, sizeof line, "%s_count %llu\n", name.c_str(),
-                static_cast<unsigned long long>(total_));
-  out += line;
-  return out;
 }
 
 double LatencyHistogram::quantile(double q) const noexcept {

@@ -1,37 +1,11 @@
-// Fixed-bucket and HDR-style histograms for latency reporting.
+// HDR-style log-bucketed histogram for latency reporting.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace resex {
-
-/// Linear-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket. Used for quick text visualisation of distributions.
-class LinearHistogram {
- public:
-  /// Throws std::invalid_argument on zero buckets or hi <= lo (validated
-  /// before any derived member is computed).
-  LinearHistogram(double lo, double hi, std::size_t buckets);
-
-  /// NaN samples are ignored (not counted).
-  void add(double x) noexcept;
-  std::size_t totalCount() const noexcept { return total_; }
-  std::size_t bucketCount() const noexcept { return counts_.size(); }
-  std::size_t countAt(std::size_t bucket) const { return counts_.at(bucket); }
-  double bucketLow(std::size_t bucket) const;
-  /// ASCII rendering, one line per bucket, bar scaled to `width` chars.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucketWidth_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Log-bucketed histogram for latency-like positive values: constant
 /// relative error (~ +/- 2^(1/subBuckets)), O(1) insert, quantiles without
@@ -58,18 +32,6 @@ class LatencyHistogram {
   double meanValue() const noexcept {
     return total_ ? sum_ / static_cast<double>(total_) : 0.0;
   }
-
-  /// Occupied bucket range (counts beyond this are zero).
-  std::size_t bucketCount() const noexcept { return counts_.size(); }
-  std::uint64_t countAt(std::size_t bucket) const { return counts_.at(bucket); }
-  /// Inclusive upper edge of bucket b (samples <= this land at or below b).
-  double bucketUpper(std::size_t bucket) const noexcept;
-
-  /// Prometheus text exposition for this histogram under `name`:
-  /// cumulative `_bucket{le="..."}` lines over the occupied range plus the
-  /// mandatory `+Inf` bucket, then `_sum` and `_count` — scrape-shaped, in
-  /// contrast to the per-bucket snapshot counts the JSON exports carry.
-  std::string toPrometheusText(const std::string& name) const;
 
  private:
   std::size_t bucketFor(double x) const noexcept;

@@ -95,20 +95,6 @@ TEST(Scheduler, ChainMoveRunsInPhases) {
   EXPECT_TRUE(verifySchedule(inst, inst.initialAssignment(), target, s).empty());
 }
 
-TEST(Scheduler, PhaseCapLimitsConcurrency) {
-  const Instance inst =
-      placedInstance(4, 4, {10.0, 10.0, 10.0, 10.0}, {0, 1, 2, 3});
-  SchedulerOptions options;
-  options.maxMovesPerPhase = 1;
-  MigrationScheduler scheduler(options);
-  const std::vector<MachineId> target{4, 5, 6, 7};
-  const Schedule s = scheduler.build(inst, inst.initialAssignment(), target);
-  EXPECT_TRUE(s.complete);
-  EXPECT_EQ(s.phaseCount(), 4u);
-  for (const Phase& p : s.phases) EXPECT_EQ(p.moves.size(), 1u);
-  EXPECT_TRUE(verifySchedule(inst, inst.initialAssignment(), target, s).empty());
-}
-
 TEST(Scheduler, PeakTransientUtilIsRecorded) {
   const Instance inst = placedInstance(2, 1, {50.0, 40.0}, {0, 1});
   MigrationScheduler scheduler;

@@ -1,5 +1,5 @@
-// Multi-epoch controller behaviour: budgets, cooldowns, and trace-driven
-// accounting across a whole run.
+// Multi-epoch controller behaviour: cooldowns and trace-driven accounting
+// across a whole run.
 #include <gtest/gtest.h>
 
 #include "control/controller.hpp"
@@ -28,15 +28,13 @@ TraceBundle driftTrace(std::uint64_t seed, std::size_t epochs) {
   return TraceBundle{std::move(base), std::move(trace)};
 }
 
-TEST(ControllerRun, BudgetGatesSomeEpochsButAccountingStaysConsistent) {
+TEST(ControllerRun, AccountingStaysConsistentAcrossEpochs) {
   const TraceBundle bundle = driftTrace(404, 6);
   const Trace& trace = bundle.trace;
   ControllerConfig config;
   config.trigger.always = true;
   config.trigger.cooldownEpochs = 0;
   config.sra.lns.maxIterations = 1200;
-  // A budget that some plans exceed and some respect.
-  config.bytesBudgetPerEpoch = 2e11;
 
   ClusterController controller(config);
   std::vector<MachineId> mapping = trace.base().initialAssignment();
@@ -44,10 +42,8 @@ TEST(ControllerRun, BudgetGatesSomeEpochsButAccountingStaysConsistent) {
   for (std::size_t e = 0; e < trace.epochCount(); ++e) {
     const Instance inst = trace.instanceForEpoch(e, mapping);
     const EpochReport report = controller.step(inst);
-    if (report.executed) executedBytes += report.scheduleBytes;
-    if (report.triggered && !report.executed) {
-      EXPECT_GT(report.scheduleBytes, config.bytesBudgetPerEpoch);
-    }
+    EXPECT_TRUE(report.executed) << "epoch " << e;
+    executedBytes += report.scheduleBytes;
     mapping = controller.mapping();
   }
   EXPECT_NEAR(controller.cumulativeBytes(), executedBytes, 1.0);

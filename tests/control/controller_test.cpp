@@ -108,19 +108,6 @@ TEST(Controller, SkipsQuietEpochs) {
   EXPECT_EQ(controller.cumulativeBytes(), 0.0);
 }
 
-TEST(Controller, ByteBudgetDiscardsExpensivePlans) {
-  ControllerConfig config = fastController();
-  config.bytesBudgetPerEpoch = 1.0;  // absurdly small
-  ClusterController controller(config);
-  const Instance inst = skewedInstance(3);
-  const EpochReport report = controller.step(inst);
-  EXPECT_TRUE(report.triggered);
-  EXPECT_FALSE(report.executed);
-  EXPECT_GT(report.scheduleBytes, 1.0);  // the plan existed but was discarded
-  EXPECT_EQ(controller.mapping(), inst.initialAssignment());
-  EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 0.0);
-}
-
 TEST(Controller, HistoryAccumulates) {
   ControllerConfig config = fastController();
   config.trigger.cooldownEpochs = 5;  // second epoch suppressed by cooldown
@@ -135,8 +122,8 @@ TEST(Controller, HistoryAccumulates) {
   EXPECT_FALSE(controller.history()[1].triggered);
 }
 
-// Returns a fixed plan instead of running SRA, so the execution policies
-// can be exercised with a crafted incomplete schedule.
+// Returns a fixed plan instead of running SRA, so execution can be
+// exercised with a crafted incomplete schedule.
 class CraftedPlanController : public ClusterController {
  public:
   CraftedPlanController(ControllerConfig config, RebalanceResult crafted)
@@ -177,9 +164,7 @@ ControllerConfig alwaysFire() {
 
 TEST(Controller, ExecutePartialAdvancesTheScheduledMoves) {
   const Instance inst = partialInstance();
-  ControllerConfig config = alwaysFire();
-  config.partialPolicy = PartialSchedulePolicy::kExecutePartial;
-  CraftedPlanController controller(config, partialPlan(inst));
+  CraftedPlanController controller(alwaysFire(), partialPlan(inst));
   const EpochReport report = controller.step(inst);
   EXPECT_TRUE(report.triggered);
   EXPECT_TRUE(report.executed);
@@ -188,20 +173,6 @@ TEST(Controller, ExecutePartialAdvancesTheScheduledMoves) {
   EXPECT_EQ(controller.mapping(), (std::vector<MachineId>{2, 1}));
   EXPECT_DOUBLE_EQ(report.executedBytes, 60.0);
   EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 60.0);
-}
-
-TEST(Controller, DiscardPolicyKeepsTheMappingPut) {
-  const Instance inst = partialInstance();
-  ControllerConfig config = alwaysFire();
-  config.partialPolicy = PartialSchedulePolicy::kDiscard;
-  CraftedPlanController controller(config, partialPlan(inst));
-  const EpochReport report = controller.step(inst);
-  EXPECT_TRUE(report.triggered);
-  EXPECT_FALSE(report.executed);
-  EXPECT_FALSE(report.scheduleComplete);
-  EXPECT_EQ(report.unscheduledMoves, 1u);  // surfaced, not silently dropped
-  EXPECT_EQ(controller.mapping(), inst.initialAssignment());
-  EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 0.0);
 }
 
 TEST(Controller, ExecutorModeCleanRunMatchesLegacyAccounting) {

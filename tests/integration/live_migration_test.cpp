@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -142,6 +143,7 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   std::atomic<std::uint64_t> checkedDuringMigration{0};
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<std::uint64_t> hitsAfterACutover{0};
+  std::atomic<std::uint64_t> startedAfterEveryCutover{0};
   std::thread client([&] {
     std::vector<std::vector<ScoredDoc>> references;
     for (const auto& q : queries)
@@ -149,7 +151,10 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
           index.searchTopK(q, serveConfig.topK, serveConfig.bm25));
     for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
       const std::size_t qi = i % queries.size();
-      const bool afterACutover = cluster.cutovers() > 0;
+      const std::size_t cutovers = cluster.cutovers();
+      const bool afterACutover = cutovers > 0;
+      if (cutovers == kPartitions)
+        startedAfterEveryCutover.fetch_add(1, std::memory_order_relaxed);
       const QueryResult result = broker.execute(queries[qi]);
       if (afterACutover && result.cacheHit)
         hitsAfterACutover.fetch_add(1, std::memory_order_relaxed);
@@ -177,6 +182,13 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   const ExecutionReport report =
       executor.execute(instance, schedule, FaultPlan{}, &cluster);
   migrating.store(false);
+  // The last cutover can land just before execute returns; keep the client
+  // running until it has started a full round of queries after it, so the
+  // post-cutover assertions below always have queries to look at.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (startedAfterEveryCutover.load() < queries.size() &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   stop.store(true);
   client.join();
 

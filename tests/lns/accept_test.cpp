@@ -7,18 +7,10 @@
 namespace resex {
 namespace {
 
-TEST(HillClimb, AcceptsOnlyNonWorsening) {
-  HillClimbAcceptance hc;
-  Rng rng(1);
-  EXPECT_TRUE(hc.accept(0.5, 0.6, 0.4, rng));
-  EXPECT_TRUE(hc.accept(0.6, 0.6, 0.4, rng));
-  EXPECT_FALSE(hc.accept(0.7, 0.6, 0.4, rng));
-}
-
 TEST(Annealing, AlwaysAcceptsImprovement) {
   SimulatedAnnealingAcceptance sa(0.001, 0.99);
   Rng rng(2);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(sa.accept(0.5, 0.9, 0.4, rng));
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(sa.accept(0.5, 0.9, rng));
 }
 
 TEST(Annealing, HotTemperatureAcceptsWorsening) {
@@ -26,7 +18,7 @@ TEST(Annealing, HotTemperatureAcceptsWorsening) {
   Rng rng(3);
   int accepted = 0;
   for (int i = 0; i < 1000; ++i)
-    if (sa.accept(0.61, 0.6, 0.5, rng)) ++accepted;
+    if (sa.accept(0.61, 0.6, rng)) ++accepted;
   EXPECT_GT(accepted, 950);  // exp(-0.01/100) ~ 1
 }
 
@@ -35,7 +27,7 @@ TEST(Annealing, ColdTemperatureRejectsWorsening) {
   Rng rng(4);
   int accepted = 0;
   for (int i = 0; i < 1000; ++i)
-    if (sa.accept(0.7, 0.6, 0.5, rng)) ++accepted;
+    if (sa.accept(0.7, 0.6, rng)) ++accepted;
   EXPECT_LT(accepted, 5);
 }
 
@@ -55,10 +47,10 @@ TEST(Annealing, TemperatureFlooredAtMin) {
 }
 
 TEST(Annealing, ForHorizonReachesLowTempByEnd) {
-  auto sa = SimulatedAnnealingAcceptance::forHorizon(0.1, 1000);
-  EXPECT_NEAR(sa->temperature(), 0.1, 1e-9);
-  for (int i = 0; i < 1000; ++i) sa->onIteration();
-  EXPECT_LT(sa->temperature(), 1e-8);
+  SimulatedAnnealingAcceptance sa = SimulatedAnnealingAcceptance::forHorizon(0.1, 1000);
+  EXPECT_NEAR(sa.temperature(), 0.1, 1e-9);
+  for (int i = 0; i < 1000; ++i) sa.onIteration();
+  EXPECT_LT(sa.temperature(), 1e-8);
 }
 
 TEST(Annealing, AcceptanceProbabilityFollowsBoltzmann) {
@@ -68,32 +60,8 @@ TEST(Annealing, AcceptanceProbabilityFollowsBoltzmann) {
   int accepted = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i)
-    if (sa.accept(0.7, 0.6, 0.5, rng)) ++accepted;
+    if (sa.accept(0.7, 0.6, rng)) ++accepted;
   EXPECT_NEAR(static_cast<double>(accepted) / n, std::exp(-1.0), 0.02);
-}
-
-TEST(RecordToRecord, AcceptsWithinBandOfBest) {
-  RecordToRecordAcceptance rtr(0.05, 1.0);
-  Rng rng(6);
-  EXPECT_TRUE(rtr.accept(0.64, 9.9, 0.6, rng));
-  EXPECT_FALSE(rtr.accept(0.66, 0.0, 0.6, rng));
-}
-
-TEST(RecordToRecord, BandShrinks) {
-  RecordToRecordAcceptance rtr(0.1, 0.5);
-  Rng rng(7);
-  EXPECT_TRUE(rtr.accept(0.69, 0.0, 0.6, rng));
-  rtr.onIteration();  // band 0.05
-  EXPECT_FALSE(rtr.accept(0.69, 0.0, 0.6, rng));
-}
-
-TEST(Acceptance, NamesAreMeaningful) {
-  HillClimbAcceptance hc;
-  SimulatedAnnealingAcceptance sa(1.0, 0.9);
-  RecordToRecordAcceptance rtr(0.1);
-  EXPECT_EQ(hc.name(), "hill-climb");
-  EXPECT_EQ(sa.name(), "annealing");
-  EXPECT_EQ(rtr.name(), "record-to-record");
 }
 
 }  // namespace

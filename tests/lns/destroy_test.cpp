@@ -120,58 +120,6 @@ TEST(VacancyDestroy, NoOccupiedMachinesMeansNothingToDo) {
   EXPECT_TRUE(op.destroy(a, 10, rng).empty());
 }
 
-TEST(BindingDimensionDestroy, RemovesHeavyShardsOfTheBindingDim) {
-  // Machine 0's dim-1 load dominates; the op must pull dim-1-heavy shards
-  // off it.
-  std::vector<Machine> machines(2);
-  machines[0] = {0, ResourceVector{100.0, 100.0}, false, 0};
-  machines[1] = {1, ResourceVector{100.0, 100.0}, false, 0};
-  std::vector<Shard> shards(4);
-  shards[0] = {0, ResourceVector{5.0, 40.0}, 1.0};   // dim-1 heavy
-  shards[1] = {1, ResourceVector{5.0, 35.0}, 1.0};   // dim-1 heavy
-  shards[2] = {2, ResourceVector{20.0, 2.0}, 1.0};   // dim-0 heavy
-  shards[3] = {3, ResourceVector{10.0, 10.0}, 1.0};
-  const Instance inst(2, std::move(machines), std::move(shards), {0, 0, 0, 1}, 0,
-                      ResourceVector{1.0, 1.0});
-  Assignment a(inst);
-  Rng rng(3);
-  BindingDimensionDestroy op;
-  const auto removed = op.destroy(a, 2, rng);
-  ASSERT_EQ(removed.size(), 2u);
-  // Both removals must be the dim-1-heavy shards (ids 0 and 1, any order).
-  for (const ShardId s : removed) EXPECT_LT(s, 2u);
-}
-
-TEST(BindingDimensionDestroy, TracksTheMovingBottleneck) {
-  const Instance inst = mediumInstance();
-  Assignment a(inst);
-  Rng rng(5);
-  BindingDimensionDestroy op;
-  const double before = a.bottleneckUtilization();
-  const auto removed = op.destroy(a, 10, rng);
-  EXPECT_EQ(removed.size(), 10u);
-  expectRemovedConsistent(a, removed);
-  // Ripping load off successive bottlenecks must lower the bottleneck.
-  EXPECT_LT(a.bottleneckUtilization(), before);
-}
-
-TEST(BindingDimensionDestroy, WorksInsideTheLnsLoop) {
-  const Instance inst = mediumInstance();
-  const Objective obj = Objective::forInstance(inst);
-  LnsConfig config;
-  config.seed = 3;
-  config.maxIterations = 600;
-  LnsSolver solver(inst, obj, config);
-  solver.addDestroy(std::make_unique<BindingDimensionDestroy>());
-  solver.addDestroy(std::make_unique<VacancyDestroy>());
-  solver.addRepair(std::make_unique<GreedyRepair>());
-  const LnsResult result = solver.solve();
-  Assignment best(inst, result.bestMapping);
-  EXPECT_TRUE(best.validate(true).empty());
-  EXPECT_LT(result.bestScore.bottleneckUtil,
-            Assignment(inst).bottleneckUtilization());
-}
-
 TEST(AllDestroyOps, ZeroQuotaRemovesNothingOrSeedOnly) {
   const Instance inst = mediumInstance();
   Rng rng(15);

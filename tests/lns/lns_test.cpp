@@ -153,15 +153,5 @@ TEST(Lns, CustomOperatorsAreUsed) {
   EXPECT_EQ(result.stats.destroyUses[0], result.stats.iterations);
 }
 
-TEST(Lns, HillClimbAcceptanceWorks) {
-  const Instance inst = tinyTestInstance(83, 6, 48, 2, 0.65);
-  const Objective obj(inst.exchangeCount());
-  LnsSolver solver(inst, obj, fastConfig(19, 1500));
-  solver.setAcceptance(std::make_unique<HillClimbAcceptance>());
-  const LnsResult result = solver.solve();
-  Assignment start(inst);
-  EXPECT_LE(result.bestScore.bottleneckUtil, start.bottleneckUtilization() + 1e-9);
-}
-
 }  // namespace
 }  // namespace resex

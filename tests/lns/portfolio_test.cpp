@@ -2,13 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <future>
-#include <memory>
-#include <thread>
-
-#include "util/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 namespace resex {
@@ -76,70 +69,6 @@ TEST(Portfolio, MultiStartAtLeastAsGoodAsSingle) {
   // or beat it.
   EXPECT_LE(multi.best.bestScore.bottleneckUtil,
             one.best.bestScore.bottleneckUtil + 1e-9);
-}
-
-/// Destroy operator that fans work out via parallelFor on the shared global
-/// pool every call — the pattern that deadlocked the old portfolio (searches
-/// occupied every pool worker while the caller blocked on their futures, so
-/// the nested parallelFor tasks could never be scheduled).
-class PoolTouchingDestroy final : public DestroyOperator {
- public:
-  std::string_view name() const noexcept override { return "pool-touching"; }
-  void destroyInto(Assignment& assignment, std::size_t quota, Rng& rng,
-                   Ruin& out) override {
-    // 4096 > the default grain size, so this genuinely dispatches to the pool.
-    std::atomic<std::size_t> counter{0};
-    parallelFor(4096, [&counter](std::size_t) {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    });
-    ASSERT_EQ(counter.load(), 4096u);
-    const std::size_t n = assignment.instance().shardCount();
-    std::size_t guard = 0;
-    while (out.size() < quota && guard++ < quota * 8 + 16) {
-      const auto s = static_cast<ShardId>(rng.below(n));
-      if (assignment.isAssigned(s)) out.take(assignment, s);
-    }
-  }
-};
-
-TEST(Portfolio, PoolUsingSearchesCompleteUnderWatchdog) {
-  const Instance inst = tinyTestInstance(111, 6, 48, 2, 0.6);
-  const Objective obj(inst.exchangeCount());
-  PortfolioConfig config;
-  // More searches than pool workers: under the old pool-backed portfolio
-  // this saturated the pool and deadlocked on the first nested parallelFor.
-  config.searches = globalPool().threadCount() + 2;
-  config.baseSeed = 7;
-  config.lns.maxIterations = 50;
-  config.lns.timeBudgetSeconds = 20.0;
-  config.configure = [](LnsSolver& solver) {
-    solver.addDestroy(std::make_unique<PoolTouchingDestroy>());
-  };
-
-  std::packaged_task<PortfolioResult()> task(
-      [&] { return solvePortfolio(inst, obj, config); });
-  std::future<PortfolioResult> done = task.get_future();
-  std::thread runner(std::move(task));
-  // Watchdog: a deadlock must fail the test, not hang the suite.
-  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
-    runner.detach();
-    FAIL() << "portfolio deadlocked: searches blocked on the shared pool";
-  }
-  runner.join();
-  const PortfolioResult result = done.get();
-  EXPECT_EQ(result.perSearchBottleneck.size(), config.searches);
-}
-
-TEST(Portfolio, ConfigureHookRunsOncePerSearch) {
-  const Instance inst = tinyTestInstance(113, 5, 30, 1, 0.6);
-  const Objective obj(inst.exchangeCount());
-  PortfolioConfig config = fastPortfolio(4);
-  config.lns.maxIterations = 50;
-  auto calls = std::make_shared<std::atomic<std::size_t>>(0);
-  config.configure = [calls](LnsSolver&) { calls->fetch_add(1); };
-  const PortfolioResult result = solvePortfolio(inst, obj, config);
-  EXPECT_EQ(calls->load(), 4u);
-  EXPECT_EQ(result.perSearchBottleneck.size(), 4u);
 }
 
 }  // namespace

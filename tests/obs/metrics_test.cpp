@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace resex::obs {
 namespace {
@@ -109,11 +108,17 @@ TEST(MetricsRegistry, ConcurrentIncrementsFromThreadPoolAreExact) {
   registry.reset();
   Counter& counter = registry.counter("test.concurrent");
   Histogram& hist = registry.histogram("test.concurrent_hist");
+  constexpr std::size_t kThreads = 4;
   constexpr std::size_t kIncrements = 100000;
-  parallelFor(kIncrements, [&](std::size_t i) {
-    counter.add();
-    hist.observe(static_cast<double>(i % 100));
-  });
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    writers.emplace_back([&, t] {
+      for (std::size_t i = t; i < kIncrements; i += kThreads) {
+        counter.add();
+        hist.observe(static_cast<double>(i % 100));
+      }
+    });
+  for (std::thread& w : writers) w.join();
   EXPECT_EQ(counter.get(), kIncrements);
   EXPECT_EQ(hist.totalCount(), kIncrements);
   // Snapshot must agree with the instruments once writers are quiescent.

@@ -2,67 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 
 #include "util/rng.hpp"
 
 namespace resex {
 namespace {
-
-TEST(LinearHistogram, CountsLandInRightBuckets) {
-  LinearHistogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(5.9);
-  h.add(9.5);
-  EXPECT_EQ(h.totalCount(), 4u);
-  EXPECT_EQ(h.countAt(0), 1u);
-  EXPECT_EQ(h.countAt(5), 2u);
-  EXPECT_EQ(h.countAt(9), 1u);
-}
-
-TEST(LinearHistogram, OutOfRangeClampsToEdges) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.countAt(0), 1u);
-  EXPECT_EQ(h.countAt(4), 1u);
-}
-
-TEST(LinearHistogram, BucketLowValues) {
-  LinearHistogram h(2.0, 12.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucketLow(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucketLow(4), 10.0);
-}
-
-TEST(LinearHistogram, RejectsBadArguments) {
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(LinearHistogram, RenderContainsEveryBucket) {
-  LinearHistogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  const std::string text = h.render();
-  int lines = 0;
-  for (const char c : text)
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, 4);
-}
-
-TEST(LinearHistogram, NanSamplesAreIgnored) {
-  // Regression: a NaN sample fails every bucket comparison; it used to be
-  // counted into an arbitrary bucket instead of being dropped.
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.totalCount(), 0u);
-  h.add(5.0);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.totalCount(), 1u);
-  EXPECT_EQ(h.countAt(2), 1u);
-}
 
 TEST(LatencyHistogram, EmptyQuantileIsZero) {
   LatencyHistogram h;
@@ -193,36 +138,6 @@ TEST(LatencyHistogram, BelowMinClampsToFirstBucket) {
 TEST(LatencyHistogram, RejectsBadArguments) {
   EXPECT_THROW(LatencyHistogram(0.0, 8), std::invalid_argument);
   EXPECT_THROW(LatencyHistogram(1e-6, 0), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, PrometheusTextMatchesGolden) {
-  // One sub-bucket per octave with minValue=1 gives power-of-two edges, so
-  // the exposition text is exact and this can be a golden comparison.
-  LatencyHistogram h(1.0, 1);
-  h.add(0.5);  // clamps into the first bucket (le="1")
-  h.add(1.0);
-  h.add(3.0);  // bucket (2, 4]
-  h.add(5.0);  // bucket (4, 8]
-  const std::string expected =
-      "# TYPE resex_latency histogram\n"
-      "resex_latency_bucket{le=\"1\"} 2\n"
-      "resex_latency_bucket{le=\"2\"} 2\n"
-      "resex_latency_bucket{le=\"4\"} 3\n"
-      "resex_latency_bucket{le=\"8\"} 4\n"
-      "resex_latency_bucket{le=\"+Inf\"} 4\n"
-      "resex_latency_sum 9.5\n"
-      "resex_latency_count 4\n";
-  EXPECT_EQ(h.toPrometheusText("resex_latency"), expected);
-}
-
-TEST(LatencyHistogram, EmptyPrometheusTextHasOnlyInfBucket) {
-  const LatencyHistogram h(1.0, 1);
-  const std::string expected =
-      "# TYPE empty histogram\n"
-      "empty_bucket{le=\"+Inf\"} 0\n"
-      "empty_sum 0\n"
-      "empty_count 0\n";
-  EXPECT_EQ(h.toPrometheusText("empty"), expected);
 }
 
 }  // namespace
