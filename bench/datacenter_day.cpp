@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
       migrating.store(false, std::memory_order_relaxed);
       record.migrationSeconds =
           std::chrono::duration<double>(Clock::now() - migrateStart).count();
-      record.migrated = report.executed;
+      record.migrated = report.triggered;
       record.movesCommitted =
           static_cast<std::size_t>(cluster.cutovers() - cutoversBefore);
       record.abortedMoves = report.abortedMoves;

@@ -33,7 +33,7 @@ PolicyOutcome runPolicy(const resex::Trace& trace, resex::ControllerConfig confi
   for (std::size_t e = 0; e < trace.epochCount(); ++e) {
     const resex::Instance inst = trace.instanceForEpoch(e, mapping);
     const resex::EpochReport report = controller.step(inst);
-    mapping = controller.mapping();
+    mapping = report.mapping;
     bottleneck.add(report.after.bottleneckUtil);
     if (report.after.bottleneckUtil > 1.0 + 1e-9) ++out.overloadedEpochs;
   }

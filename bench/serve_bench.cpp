@@ -468,11 +468,10 @@ int main(int argc, char** argv) {
   ClusterController controller(controllerConfig);
   const EpochReport observedEpoch =
       controller.step(withObservedCpuDemand(instance, observedCpu));
-  const double hotObserved = hottestMachineWork(controller.mapping());
-  std::printf("observed-load controller epoch: triggered=%d executed=%d "
+  const double hotObserved = hottestMachineWork(observedEpoch.mapping);
+  std::printf("observed-load controller epoch: triggered=%d "
               "hottest %.3f ms/query (rho %.3f)\n",
-              observedEpoch.triggered, observedEpoch.executed, hotObserved * 1e3,
-              qps * hotObserved);
+              observedEpoch.triggered, hotObserved * 1e3, qps * hotObserved);
 
   PhaseOutcome greedyPhase = runPhase("greedy", instance, greedyResult.finalMapping,
                                       index, trace, serveConfig, clients, qps);
@@ -480,7 +479,7 @@ int main(int argc, char** argv) {
   PhaseOutcome sraPhase = runPhase("sra", instance, sraResult.finalMapping, index,
                                    trace, serveConfig, clients, qps);
   sraPhase.rho = qps * hotSra;
-  PhaseOutcome observedPhase = runPhase("sra_observed", instance, controller.mapping(),
+  PhaseOutcome observedPhase = runPhase("sra_observed", instance, observedEpoch.mapping,
                                         index, trace, serveConfig, clients, qps);
   observedPhase.rho = qps * hotObserved;
 
@@ -542,7 +541,6 @@ int main(int argc, char** argv) {
   json.field("deadline_seconds", deadlineSeconds);
   json.field("service_fixed_seconds", serviceFixed);
   json.field("service_per_posting_seconds", servicePerPosting);
-  json.field("routing", "token");
   json.field("hot_ms_initial", hotInitial * 1e3);
   json.field("hot_ms_greedy", hotGreedy * 1e3);
   json.field("hot_ms_sra", hotSra * 1e3);

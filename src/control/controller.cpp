@@ -51,7 +51,7 @@ EpochReport ClusterController::step(const Instance& instance) {
   Assignment current(instance);
   report.before = measureBalance(current);
   report.after = report.before;
-  mapping_ = instance.initialAssignment();
+  report.mapping = instance.initialAssignment();
 
   report.triggered = trigger_.shouldRebalance(report.before, epoch_);
   if (report.triggered) {
@@ -62,7 +62,6 @@ EpochReport ClusterController::step(const Instance& instance) {
     report.scheduleComplete = result.scheduleComplete();
     report.unscheduledMoves = result.schedule.unscheduled.size();
     report.solveSeconds = result.solveSeconds;
-    report.executed = true;
     if (config_.useExecutor) {
       const MigrationExecutor executor(config_.executor);
       ExecutionReport execution = executor.execute(instance, result.schedule,
@@ -76,17 +75,16 @@ EpochReport ClusterController::step(const Instance& instance) {
       report.replans = execution.replans;
       report.crashedMachines = execution.crashedMachines;
       report.degradedCompletion = execution.degraded;
-      mapping_ = std::move(execution.finalMapping);
-      Assignment achieved(instance, mapping_);
+      report.mapping = std::move(execution.finalMapping);
+      Assignment achieved(instance, report.mapping);
       report.after = measureBalance(achieved);
       if (execution.degraded) registry.counter("controller.degraded_epochs").add();
     } else {
       report.executedBytes = result.schedule.totalBytes;
       report.after = result.after;
       recordScheduleExecution(result.schedule);
-      mapping_ = std::move(result.finalMapping);
+      report.mapping = std::move(result.finalMapping);
     }
-    registry.counter("controller.executed").add();
     cumulativeBytes_ += report.executedBytes;
     ++executed_;
   }
@@ -96,7 +94,7 @@ EpochReport ClusterController::step(const Instance& instance) {
   registry.gauge("controller.cumulative_bytes").set(cumulativeBytes_);
   registry.series("controller.epochs_series")
       .append(static_cast<double>(report.epoch), report.after.bottleneckUtil,
-              report.after.utilCv, report.executed ? 1.0 : 0.0);
+              report.after.utilCv);
 
   // Controller epochs land on the request-scoped timeline, so a trace
   // export shows query slowdowns against the re-plans that caused them.
@@ -105,7 +103,6 @@ EpochReport ClusterController::step(const Instance& instance) {
         "controller.epoch", epochStartUs, obs::nowMicros() - epochStartUs,
         {{"epoch", static_cast<double>(report.epoch)},
          {"triggered", report.triggered ? 1.0 : 0.0},
-         {"executed", report.executed ? 1.0 : 0.0},
          {"bottleneck_util", report.after.bottleneckUtil},
          {"executed_bytes", report.executedBytes}});
 

@@ -65,10 +65,11 @@ struct ControllerConfig {
 /// What happened in one controller epoch.
 struct EpochReport {
   std::size_t epoch = 0;
-  bool triggered = false;
   /// Every triggered plan executes; an incomplete schedule executes the
   /// phases it scheduled and reports the rest in unscheduledMoves.
-  bool executed = false;
+  bool triggered = false;
+  /// The mapping after the step, which callers carry forward.
+  std::vector<MachineId> mapping;
   BalanceMetrics before;
   BalanceMetrics after;
   double scheduleBytes = 0.0;
@@ -108,16 +109,14 @@ class ClusterController {
   virtual ~ClusterController() = default;
 
   /// Processes one epoch. The instance's initial assignment must be the
-  /// cluster's current mapping (as the caller carried it forward); after
-  /// the call, mapping() reflects any executed rebalance.
+  /// cluster's current mapping (as the caller carried it forward); the
+  /// report's mapping reflects any executed rebalance.
   EpochReport step(const Instance& instance);
 
   /// Computes the epoch's rebalance plan (default: one SRA pass). Virtual
   /// so tests can inject crafted plans, e.g. incomplete schedules.
   virtual RebalanceResult plan(const Instance& instance);
 
-  /// The cluster's current mapping (empty before the first step).
-  const std::vector<MachineId>& mapping() const noexcept { return mapping_; }
   double cumulativeBytes() const noexcept { return cumulativeBytes_; }
   std::size_t rebalancesExecuted() const noexcept { return executed_; }
   const std::vector<EpochReport>& history() const noexcept { return history_; }
@@ -125,7 +124,6 @@ class ClusterController {
  private:
   ControllerConfig config_;
   RebalanceTrigger trigger_;
-  std::vector<MachineId> mapping_;
   double cumulativeBytes_ = 0.0;
   std::size_t executed_ = 0;
   std::size_t epoch_ = 0;

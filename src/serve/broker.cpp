@@ -37,10 +37,6 @@ obs::Counter& rejectedCounter() {
       obs::MetricsRegistry::global().counter("serve.rejected_queries");
   return c;
 }
-obs::Counter& remapCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("serve.remaps");
-  return c;
-}
 obs::Histogram& latencyHistogram() {
   static obs::Histogram& h =
       obs::MetricsRegistry::global().histogram("serve.query_latency_us");
@@ -138,30 +134,21 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
       cache_(config.cacheCapacity, config.cacheShards) {
   const std::size_t n = instance.shardCount();
   const std::size_t m = instance.machineCount();
-  if (mapping.size() != n)
-    throw std::invalid_argument("QueryBroker: mapping size != shard count");
-  if (!liveShards.empty()) {
-    if (liveShards.size() != n)
-      throw std::invalid_argument(
-          "QueryBroker: live shard table size != shard count");
-    for (const auto& idx : liveShards)
-      if (!idx)
-        throw std::invalid_argument("QueryBroker: null live shard index");
-    liveMode_ = true;
-    liveShards_ = std::move(liveShards);
-  }
   partitionCount_ = index.shardCount();
   if (instance.replicaGroupCount() != partitionCount_)
     throw std::invalid_argument(
         "QueryBroker: replica groups must match index partitions");
-  groupOf_.resize(n);
+  // Without live shards, each shard serves a non-owning alias of its
+  // in-memory partition: one routing path either way.
+  const bool aliasPartitions = liveShards.empty();
+  if (aliasPartitions) liveShards.resize(n);
   for (ShardId s = 0; s < n; ++s) {
-    groupOf_[s] = instance.replicaGroupOf(s);
-    if (groupOf_[s] >= partitionCount_)
-      throw std::invalid_argument("QueryBroker: replica group out of range");
-    if (mapping[s] >= m)
-      throw std::invalid_argument("QueryBroker: mapping machine out of range");
+    groupOf_.push_back(instance.replicaGroupOf(s));
+    if (aliasPartitions) liveShards[s] = {std::shared_ptr<const InvertedIndex>(),
+                                          &index.shard(groupOf_[s])};
   }
+  placement_ = std::make_shared<const Placement>(instance, std::move(mapping),
+                                                 std::move(liveShards));
 
   // Tenant table: the configured query classes, or one implicit class that
   // owns every token — which keeps the fair-share queues degenerate FIFOs.
@@ -194,9 +181,6 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
   shardTasks_ = std::vector<std::atomic<std::uint64_t>>(n);
   shardPostings_ = std::vector<std::atomic<std::uint64_t>>(n);
   shardBusyNanos_ = std::vector<std::atomic<std::uint64_t>>(n);
-
-  mapping_ = std::move(mapping);
-  rebuildHosts(mapping_);
 
   tenantSlos_.assign(registry_.count(), nullptr);
   if (!implicitTenant || !config_.sloClass.empty())
@@ -239,70 +223,29 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
 
 QueryBroker::~QueryBroker() { shutdown(); }
 
-void QueryBroker::rebuildHosts(const std::vector<MachineId>& mapping) {
-  hosts_.assign(partitionCount_, {});
-  for (ShardId s = 0; s < mapping.size(); ++s)
-    hosts_[groupOf_[s]].emplace_back(mapping[s], s);
-  for (std::uint32_t g = 0; g < partitionCount_; ++g)
-    if (hosts_[g].empty())
-      throw std::invalid_argument("QueryBroker: partition with no replica host");
+void QueryBroker::publish(std::shared_ptr<const Placement> next) {
+  if (!next || next->shardCount() != groupOf_.size() ||
+      next->partitionCount() != partitionCount_ || next->machineCount() != queues_.size())
+    throw std::invalid_argument("QueryBroker: placement does not fit the cluster");
+  std::shared_ptr<const Placement> previous;
+  {
+    std::lock_guard lock(placementMutex_);
+    previous = std::exchange(placement_, next);
+  }
+  // A replica that left its machine takes its window heat with it, so the
+  // next harvest does not carry stale heat into the controller.
+  for (ShardId s = 0; s < groupOf_.size(); ++s) {
+    if (previous->mapping()[s] == next->mapping()[s]) continue;
+    shardTasks_[s].store(0, std::memory_order_relaxed);
+    shardPostings_[s].store(0, std::memory_order_relaxed);
+    shardBusyNanos_[s].store(0, std::memory_order_relaxed);
+    obs::MetricsRegistry::global().counter("serve.shard_moves").add();
+  }
 }
 
-void QueryBroker::applyMapping(const std::vector<MachineId>& newMapping) {
-  if (newMapping.size() != groupOf_.size())
-    throw std::invalid_argument("QueryBroker: remap size mismatch");
-  for (const MachineId mach : newMapping)
-    if (mach >= queues_.size())
-      throw std::invalid_argument("QueryBroker: remap machine out of range");
-  {
-    std::unique_lock lock(mappingMutex_);
-    mapping_ = newMapping;
-    rebuildHosts(mapping_);
-  }
-  remapCounter().add();
-}
-
-std::shared_ptr<const InvertedIndex> QueryBroker::applyShardMove(
-    ShardId shard, MachineId from, MachineId to,
-    std::shared_ptr<const InvertedIndex> replacement) {
-  if (shard >= groupOf_.size())
-    throw std::invalid_argument("QueryBroker: applyShardMove shard out of range");
-  if (to >= queues_.size())
-    throw std::invalid_argument("QueryBroker: applyShardMove machine out of range");
-  if (liveMode_ && replacement) {
-    // Cached results stay valid across the move only because the content
-    // does: a segment-backed replacement must carry the same statistics and
-    // per-plane sizes and checksums as the index it replaces.
-    std::shared_lock lock(liveMutex_);
-    const auto& current = liveShards_[shard]->segment();
-    const auto& incoming = replacement->segment();
-    if (current && incoming &&
-        !sameSegmentContent(current->footer(), incoming->footer()))
-      throw std::invalid_argument(
-          "QueryBroker: applyShardMove replacement holds different content");
-  }
-  {
-    std::unique_lock lock(mappingMutex_);
-    if (mapping_[shard] != from)
-      throw std::invalid_argument(
-          "QueryBroker: applyShardMove source does not match live mapping");
-    mapping_[shard] = to;
-    rebuildHosts(mapping_);
-  }
-  std::shared_ptr<const InvertedIndex> old;
-  if (liveMode_ && replacement) {
-    std::unique_lock lock(liveMutex_);
-    old = std::exchange(liveShards_[shard], std::move(replacement));
-  }
-  // The replica is gone from `from`: its window heat goes with it, so
-  // /debug/shards and the next ObservedLoad harvest report the departed
-  // copy cold instead of carrying stale heat into the controller.
-  shardTasks_[shard].store(0, std::memory_order_relaxed);
-  shardPostings_[shard].store(0, std::memory_order_relaxed);
-  shardBusyNanos_[shard].store(0, std::memory_order_relaxed);
-  obs::MetricsRegistry::global().counter("serve.shard_moves").add();
-  remapCounter().add();
-  return old;
+std::shared_ptr<const Placement> QueryBroker::placement() const {
+  std::lock_guard lock(placementMutex_);
+  return placement_;
 }
 
 QueryResult QueryBroker::execute(const std::vector<TermId>& terms, TenantId tenant) {
@@ -420,12 +363,13 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   pending->rootStartUs = rootStartUs;
 
   // Routing *is* token admission: one execution-slot token per partition,
-  // each bound to the freest hosting machine, then a task per token.
-  // Over-share traffic is turned away here instead of poisoning the shared
-  // queues. A query short of slots waits for a release — outside the
-  // mapping lock, so cutovers never stall behind it — until its deadline. A
-  // push fails only on a queue closed by shutdown: the partition counts as
-  // missed and its token goes straight back.
+  // each bound to the freest hosting machine of the loaded placement, then
+  // a task per token carrying the index it was routed to. Over-share
+  // traffic is turned away here instead of poisoning the shared queues. A
+  // query short of slots waits for a release until its deadline, holding no
+  // placement (a cutover's drain never waits on it), and retries on the
+  // current one. A push fails only on a queue closed by shutdown: the
+  // partition counts as missed and its token goes straight back.
   std::size_t missedPushes = 0;
   Admission verdict = Admission::kAdmitted;
   {
@@ -434,17 +378,18 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     for (;;) {
       const std::uint64_t epoch = bank_->releaseEpoch();
       {
-        std::shared_lock lock(mappingMutex_);
-        verdict = bank_->acquire(tenant, hosts_, picks);
+        const std::shared_ptr<const Placement> placement = this->placement();
+        verdict = bank_->acquire(tenant, placement->hosts(), picks);
         if (verdict == Admission::kAdmitted) {
           for (std::uint32_t g = 0; g < partitionCount_; ++g) {
-            const auto [mach, shard] = hosts_[g][picks[g]];
+            const auto [mach, shard] = placement->hosts()[g][picks[g]];
             const std::size_t depth = queues_[mach]->size();
             peakDepthGauge().max(static_cast<double>(depth));
             Task task;
             task.pending = pending;
             task.partition = g;
             task.physicalShard = shard;
+            task.index = placement->index(shard);
             if (rootCtx.active()) {
               task.trace = rootCtx;
               task.enqueueUs = obs::nowMicros();
@@ -655,18 +600,9 @@ void QueryBroker::workerLoop(std::size_t machine) {
                      static_cast<double>(task.depthAtDispatch));
       }
       if (run) {
-        // Live mode serves the physical shard's segment-backed index; the
-        // shared_ptr copied here keeps it alive through execution even if a
-        // cutover swaps the table entry mid-task (drain-by-refcount).
         // Global statistics always come from the partitioned index, so
-        // scores are bit-identical in both modes.
-        std::shared_ptr<const InvertedIndex> liveIndex;
-        if (liveMode_) {
-          std::shared_lock liveLock(liveMutex_);
-          liveIndex = liveShards_[task.physicalShard];
-        }
-        const InvertedIndex& shardIndex =
-            liveIndex ? *liveIndex : index_.shard(task.partition);
+        // every copy of a partition scores bit-identically.
+        const InvertedIndex& shardIndex = *task.index;
         const auto topDocs =
             topKDisjunctiveInto(shardIndex, pending.key.terms(), pending.key.k(),
                                 config_.bm25, scratch, &exec, &index_.globalStats());
@@ -866,27 +802,18 @@ std::string QueryBroker::debugJson() const {
 
 std::string QueryBroker::shardsJson() const {
   const ObservedLoad load = peekObservedLoad();
-  std::vector<MachineId> mapping;
-  {
-    std::shared_lock lock(mappingMutex_);
-    mapping = mapping_;
-  }
-  std::vector<std::shared_ptr<const InvertedIndex>> live;
-  if (liveMode_) {
-    std::shared_lock lock(liveMutex_);
-    live = liveShards_;
-  }
+  // One snapshot: each shard's machine and index agree.
+  const std::shared_ptr<const Placement> placement = this->placement();
   JsonWriter json;
   json.beginObject();
   json.field("window_seconds", load.windowSeconds);
   json.key("shards").beginArray();
-  for (std::size_t s = 0; s < mapping.size(); ++s) {
-    const InvertedIndex& shardIndex =
-        liveMode_ ? *live[s] : index_.shard(groupOf_[s]);
+  for (ShardId s = 0; s < placement->shardCount(); ++s) {
+    const InvertedIndex& shardIndex = *placement->index(s);
     json.beginObject();
     json.field("shard", static_cast<std::uint64_t>(s));
     json.field("partition", static_cast<std::uint64_t>(groupOf_[s]));
-    json.field("machine", static_cast<std::uint64_t>(mapping[s]));
+    json.field("machine", static_cast<std::uint64_t>(placement->mapping()[s]));
     json.field("tasks", load.shardTasks[s]);
     json.field("postings", load.shardPostings[s]);
     json.field("busy_seconds", load.shardBusySeconds[s]);

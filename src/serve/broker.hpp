@@ -25,10 +25,13 @@
 //
 // Shutdown: token waiters are rejected; queues reject new work but drain
 // what was accepted, so every in-flight query's remaining-count reaches
-// zero — clean join, no orphan waiters. applyMapping() swaps the routing
-// table; tasks already queued finish on their old machines (the way a live
-// migration drains). A move changes where a shard is served, not what it
-// holds, so cached results stay valid across every remap and cutover.
+// zero — clean join, no orphan waiters.
+//
+// Placement: a query routes on the Placement snapshot (placement.hpp) it
+// loaded, and each task carries the index it was routed to, so workers take
+// no placement lock and a task queued before a cutover finishes on its copy.
+// publish() swaps the snapshot. A move changes where a shard is served, not
+// what it holds, so cached results stay valid across it.
 //
 // Observability: aggregate counters/histograms go to the obs:: registry
 // (serve.queries, serve.query_latency_us, ...); per-machine and per-shard
@@ -44,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -55,6 +57,7 @@
 #include "obs/slo.hpp"
 #include "serve/fair_share.hpp"
 #include "serve/lru_cache.hpp"
+#include "serve/placement.hpp"
 #include "serve/tenant.hpp"
 
 namespace resex::serve {
@@ -217,13 +220,9 @@ class QueryBroker {
   /// instance.replicaGroupCount() == index.shardCount() and a complete
   /// mapping. Spawns the worker pools; ready on return.
   ///
-  /// `liveShards`, when non-empty (one entry per *physical* shard, each a
-  /// segment-backed copy of its replica group's partition), puts the broker
-  /// in live-migration mode: workers execute against the per-shard live
-  /// index instead of the shared in-memory partition, and
-  /// applyShardMove() may swap individual entries while serving. Global
-  /// statistics still come from `index`, so scores are bit-identical in
-  /// both modes.
+  /// `liveShards`, when non-empty, are the indexes physical shards serve
+  /// (segment-backed copies of their partitions); otherwise each serves its
+  /// in-memory partition. Global statistics come from `index` either way.
   QueryBroker(const Instance& instance, std::vector<MachineId> mapping,
               const PartitionedIndex& index, ServeConfig config,
               std::vector<std::shared_ptr<const InvertedIndex>> liveShards = {});
@@ -256,28 +255,14 @@ class QueryBroker {
   bool submit(const std::vector<TermId>& terms, const SubmitOptions& options,
               QueryCompletion completion);
 
-  /// Atomically swaps the shard -> machine mapping (a rebalance landing).
-  /// Tasks already queued complete on their previous machines. The result
-  /// cache is untouched: placement does not change any answer.
-  void applyMapping(const std::vector<MachineId>& newMapping);
-
-  /// Atomic per-shard cutover of one live migration move: requires
-  /// mapping[shard] == from; swaps the routing entry to `to` under the
-  /// mapping lock, installs `replacement` as the shard's live index (when
-  /// in live mode and non-null), and zeroes the shard's ObservedLoad window
-  /// accumulators so the departed replica's heat does not linger in
-  /// /debug/shards. The result cache is untouched, which is sound because
-  /// the replacement must hold the content it replaces: when both indexes
-  /// are segment-backed their footers must agree (sameSegmentContent),
-  /// else std::invalid_argument is thrown before routing changes.
-  /// Returns the previous live index (null outside live mode); the caller
-  /// drains it — waits for in-flight tasks to release their references —
-  /// before dropping the source file.
-  std::shared_ptr<const InvertedIndex> applyShardMove(
-      ShardId shard, MachineId from, MachineId to,
-      std::shared_ptr<const InvertedIndex> replacement = nullptr);
-
-  bool liveMode() const noexcept { return liveMode_; }
+  /// Routes every later query on `next` — the broker's only placement
+  /// writer. Each shard whose machine changed starts a cold ObservedLoad
+  /// window, so the departed replica's heat does not linger. The result
+  /// cache is untouched. Throws std::invalid_argument when `next` is null
+  /// or shaped for another cluster.
+  void publish(std::shared_ptr<const Placement> next);
+  /// The snapshot queries are routed on now.
+  std::shared_ptr<const Placement> placement() const;
 
   /// Harvests the measurement window that started at construction or at
   /// the previous snapshot, and begins a new one.
@@ -313,7 +298,8 @@ class QueryBroker {
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  const std::vector<MachineId>& mapping() const noexcept { return mapping_; }
+  /// The current snapshot's mapping, by value.
+  std::vector<MachineId> mapping() const { return placement()->mapping(); }
   std::size_t machineCount() const noexcept { return queues_.size(); }
   std::size_t workerCount(std::size_t machine) const {
     return workersPerMachine_.at(machine);
@@ -338,6 +324,8 @@ class QueryBroker {
     std::shared_ptr<PendingQuery> pending;
     std::uint32_t partition = 0;
     ShardId physicalShard = 0;
+    /// The copy it was routed to, held until the task ends (drain-by-refcount).
+    std::shared_ptr<const InvertedIndex> index;
     /// Request-scoped trace linkage (inert when the query is untraced):
     /// the query's root span is the parent, so per-partition execution
     /// spans recorded by workers attach to the client's trace tree.
@@ -360,7 +348,6 @@ class QueryBroker {
   /// delivers the partial result at expiry if no worker finished it first.
   void armDeadline(std::shared_ptr<PendingQuery> pending);
   void timerLoop();
-  void rebuildHosts(const std::vector<MachineId>& mapping);
   /// Shared body of take/peekObservedLoad: reads the window, and when
   /// `resetWindow` also zeroes the accumulators and restarts it.
   ObservedLoad harvestObservedLoad(bool resetWindow);
@@ -368,23 +355,12 @@ class QueryBroker {
   const PartitionedIndex& index_;
   ServeConfig config_;
   std::size_t partitionCount_ = 0;
-  /// Replica group (== logical partition) of each physical shard, copied
-  /// from the instance so remaps can rebuild the routing table.
+  /// Replica group (== logical partition) of each physical shard.
   std::vector<std::uint32_t> groupOf_;
 
-  // Routing state, swapped wholesale by applyMapping under mappingMutex_.
-  mutable std::shared_mutex mappingMutex_;
-  std::vector<MachineId> mapping_;
-  /// hosts_[g] = (machine, physical shard) per replica of partition g.
-  std::vector<std::vector<std::pair<MachineId, ShardId>>> hosts_;
-
-  /// Live-migration mode: per-physical-shard segment-backed indexes.
-  /// Workers copy the shared_ptr under a shared lock per task, so a cutover
-  /// swap never invalidates an in-flight execution — the old index dies
-  /// only when its last task releases it (drain-by-refcount).
-  bool liveMode_ = false;
-  mutable std::shared_mutex liveMutex_;
-  std::vector<std::shared_ptr<const InvertedIndex>> liveShards_;
+  /// The routing snapshot; the mutex guards only the pointer copy.
+  mutable std::mutex placementMutex_;
+  std::shared_ptr<const Placement> placement_;
 
   std::vector<std::unique_ptr<FairShareQueue<Task>>> queues_;
   std::vector<std::size_t> workersPerMachine_;

@@ -54,10 +54,8 @@ LiveCluster::LiveCluster(const Instance& instance, const PartitionedIndex& index
   if (instance.replicaGroupCount() != index.shardCount())
     throw std::invalid_argument(
         "LiveCluster: replica groups must match index partitions");
-  mapping_ = std::move(mapping);
   residentBytes_.resize(machineCount_);
   down_.assign(machineCount_, 0);
-  table_.resize(n);
 
   for (MachineId m = 0; m < machineCount_; ++m)
     fs::create_directories(machineDir(m));
@@ -65,14 +63,18 @@ LiveCluster::LiveCluster(const Instance& instance, const PartitionedIndex& index
   // Materialize: each physical shard is a full copy of its replica group's
   // partition, written into its mapped machine's directory and reopened as
   // the validated mmap-backed index the broker will serve from.
+  std::vector<std::shared_ptr<const InvertedIndex>> indexes(n);
   for (ShardId s = 0; s < n; ++s) {
-    const std::uint32_t group = instance.replicaGroupOf(s);
-    const std::string path = segmentPath(s, mapping_[s]);
-    writeSegment(index.shard(group), path);
+    if (mapping[s] >= machineCount_)
+      throw std::invalid_argument("LiveCluster: mapping machine out of range");
+    const std::string path = segmentPath(s, mapping[s]);
+    writeSegment(index.shard(instance.replicaGroupOf(s)), path);
     auto segment = std::make_shared<const MappedSegment>(path);
-    residentBytes_[mapping_[s]][s] = segment->fileBytes();
-    table_[s] = std::make_shared<const InvertedIndex>(std::move(segment));
+    residentBytes_[mapping[s]][s] = segment->fileBytes();
+    indexes[s] = std::make_shared<const InvertedIndex>(std::move(segment));
   }
+  placement_ =
+      std::make_shared<const Placement>(instance, std::move(mapping), std::move(indexes));
   const double budget = config_.dataBudgetBytes;
   for (MachineId m = 0; m < machineCount_; ++m) {
     if (budget > 0.0 && residentBytes(m) > budget)
@@ -85,7 +87,13 @@ LiveCluster::LiveCluster(const Instance& instance, const PartitionedIndex& index
 std::vector<std::shared_ptr<const InvertedIndex>> LiveCluster::shardIndexes()
     const {
   std::lock_guard lock(mutex_);
-  return table_;
+  return placement_->indexes();
+}
+
+void LiveCluster::attachBroker(QueryBroker* broker) {
+  std::lock_guard lock(mutex_);
+  broker_ = broker;
+  if (broker_ != nullptr) broker_->publish(placement_);
 }
 
 std::string LiveCluster::machineDir(MachineId machine) const {
@@ -109,7 +117,7 @@ double LiveCluster::residentBytes(MachineId machine) const {
 
 std::vector<MachineId> LiveCluster::mapping() const {
   std::lock_guard lock(mutex_);
-  return mapping_;
+  return placement_->mapping();
 }
 
 double LiveCluster::effectiveBandwidth(MachineId from, MachineId to) const {
@@ -123,21 +131,15 @@ double LiveCluster::effectiveBandwidth(MachineId from, MachineId to) const {
 
 bool LiveCluster::admitCopy(ShardId shard, MachineId from, MachineId to) {
   std::lock_guard lock(mutex_);
-  if (shard >= mapping_.size() || from >= machineCount_ || to >= machineCount_)
-    return false;
+  if (from >= machineCount_ || to >= machineCount_) return false;
   if (down_[to]) return false;  // no new copies onto a dead machine
   const auto src = residentBytes_[from].find(shard);
   if (src == residentBytes_[from].end()) return false;  // no source file
   if (pending_.count(shard)) return false;              // already in flight
   const double budget = config_.dataBudgetBytes;
-  if (budget > 0.0) {
-    double resident = 0.0;
-    for (const auto& [s, bytes] : residentBytes_[to])
-      resident += static_cast<double>(bytes);
-    if (resident + static_cast<double>(src->second) > budget) {
-      obs::MetricsRegistry::global().counter("migrate.data_rejected").add();
-      return false;
-    }
+  if (budget > 0.0 && residentBytes(to) + static_cast<double>(src->second) > budget) {
+    obs::MetricsRegistry::global().counter("migrate.data_rejected").add();
+    return false;
   }
   return true;
 }
@@ -147,9 +149,8 @@ bool LiveCluster::copyShard(ShardId shard, MachineId from, MachineId to,
   std::string sourcePath;
   {
     std::lock_guard lock(mutex_);
-    if (shard >= mapping_.size() || from >= machineCount_ || to >= machineCount_)
-      return false;
-    if (!residentBytes_[from].count(shard)) return false;
+    if (from >= machineCount_ || to >= machineCount_) return false;
+    if (!residentBytes_[from].count(shard)) return false;  // no source file
     sourcePath = segmentPath(shard, from);
   }
   SegmentMoverConfig moverConfig;
@@ -166,7 +167,7 @@ bool LiveCluster::copyShard(ShardId shard, MachineId from, MachineId to,
   // shard now. A source file swapped for another valid segment fails here
   // and costs the executor one attempt.
   if (!sameSegmentContent(result.segment->footer(),
-                          table_[shard]->segment()->footer())) {
+                          placement_->index(shard)->segment()->footer())) {
     ::unlink(result.publishedPath.c_str());
     return false;
   }
@@ -197,35 +198,27 @@ void LiveCluster::discardCopy(ShardId shard, MachineId to,
 }
 
 void LiveCluster::commitMove(ShardId shard, MachineId from, MachineId to) {
-  std::shared_ptr<const InvertedIndex> replacement;
-  std::string sourcePath;
+  std::shared_ptr<const InvertedIndex> retiring;
   {
+    // Cutover under one lock, so commits publish in the order they land.
     std::lock_guard lock(mutex_);
     const auto it = pending_.find(shard);
     if (it == pending_.end() || it->second.to != to)
       throw std::logic_error("LiveCluster::commitMove without a pending copy");
-    replacement = it->second.index;
+    std::shared_ptr<const Placement> next =
+        placement_->withMove(shard, from, to, it->second.index);
+    if (broker_ != nullptr) broker_->publish(next);
+    retiring = placement_->index(shard);
+    placement_ = std::move(next);
     pending_.erase(it);
-    sourcePath = segmentPath(shard, from);
   }
+  const std::string sourcePath = segmentPath(shard, from);
 
-  // Atomic cutover: the broker's routing entry and live index swap under
-  // its mapping lock; queries routed from now on hit the destination copy.
-  std::shared_ptr<const InvertedIndex> retiring;
-  if (broker_ != nullptr)
-    retiring = broker_->applyShardMove(shard, from, to, replacement);
-  {
-    std::lock_guard lock(mutex_);
-    auto planeOld = std::exchange(table_[shard], replacement);
-    if (!retiring) retiring = std::move(planeOld);
-    mapping_[shard] = to;
-  }
-
-  // Drain-by-refcount: in-flight tasks copied the old shared_ptr before the
-  // swap; wait for them to finish before touching the source file. The
-  // timeout is a safety valve — the mapping already cut over, so a late
-  // task only reads a file we are about to unlink (POSIX keeps the inode
-  // alive until the mapping drops).
+  // Drain-by-refcount: every task routed before the cutover, queued or
+  // executing, holds the old index; wait for them to finish before touching
+  // the source file. The timeout is a safety valve — the mapping already
+  // cut over, so a late task only reads a file we are about to unlink
+  // (POSIX keeps the inode alive until the mapping drops).
   auto& registry = obs::MetricsRegistry::global();
   const auto drainStart = Clock::now();
   const auto deadline =
@@ -240,10 +233,8 @@ void LiveCluster::commitMove(ShardId shard, MachineId from, MachineId to) {
 
   // Drop the departed replica: page cache first (so the copy's memory
   // returns now, not at some distant munmap), then the file.
-  if (retiring) {
-    if (const auto& segment = retiring->segment()) segment->dropPageCache();
-    retiring.reset();
-  }
+  if (const auto& segment = retiring->segment()) segment->dropPageCache();
+  retiring.reset();
   ::unlink(sourcePath.c_str());
   {
     std::lock_guard lock(mutex_);
@@ -269,6 +260,7 @@ void LiveCluster::recoverMachine(MachineId machine) {
   if (orphans > 0) registry.counter("migrate.gc_orphans").add(orphans);
 
   std::lock_guard lock(mutex_);
+  const std::vector<MachineId>& mapping = placement_->mapping();
   // 2. Stray segments: published files the current mapping does not place
   //    here (copies lost to the crash, or shards evacuated off the corpse
   //    while it was down). Remove them and rebuild the byte accounting
@@ -281,7 +273,7 @@ void LiveCluster::recoverMachine(MachineId machine) {
     const std::string name = entry.path().filename().string();
     const ShardId shard = parseShardFileName(name);
     if (shard == kNotASegment) continue;
-    if (shard >= mapping_.size() || mapping_[shard] != machine) {
+    if (shard >= mapping.size() || mapping[shard] != machine) {
       fs::remove(entry.path(), ec);
       ++strays;
       continue;
@@ -296,7 +288,8 @@ void LiveCluster::recoverMachine(MachineId machine) {
 LiveCluster::AuditReport LiveCluster::audit() const {
   AuditReport report;
   std::lock_guard lock(mutex_);
-  std::vector<char> seen(mapping_.size(), 0);
+  const std::vector<MachineId>& mapping = placement_->mapping();
+  std::vector<char> seen(mapping.size(), 0);
   for (MachineId m = 0; m < machineCount_; ++m) {
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(machineDir(m), ec)) {
@@ -310,7 +303,7 @@ LiveCluster::AuditReport LiveCluster::audit() const {
       const ShardId shard = parseShardFileName(name);
       if (shard == kNotASegment) continue;
       ++report.segmentFiles;
-      if (shard >= mapping_.size() || mapping_[shard] != m) {
+      if (shard >= mapping.size() || mapping[shard] != m) {
         ++report.straySegments;
         report.problems.push_back("stray segment: " + entry.path().string());
       } else {
@@ -326,7 +319,7 @@ LiveCluster::AuditReport LiveCluster::audit() const {
       }
     }
   }
-  for (ShardId s = 0; s < mapping_.size(); ++s)
+  for (ShardId s = 0; s < mapping.size(); ++s)
     if (!seen[s]) {
       ++report.missingSegments;
       report.problems.push_back("missing segment for shard " + std::to_string(s));

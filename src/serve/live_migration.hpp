@@ -4,7 +4,8 @@
 // shard's segment file (`shard-NNNN.seg`) resident in its mapped machine's
 // directory, and implements MigrationDataPlane on top of that layout so
 // MigrationExecutor can move *real files* while an attached QueryBroker
-// keeps serving:
+// keeps serving. The cluster owns the Placement (placement.hpp); each
+// committed move replaces it and publishes the same snapshot to the broker.
 //
 //   admitCopy   dual-residency admission against per-machine byte budgets
 //               (source copy + destination copy both count while a move is
@@ -16,9 +17,9 @@
 //               full validation + warm, then a content check against
 //               the serving index (the footers must agree), before the
 //               copy is eligible to serve;
-//   commitMove  atomic cutover through QueryBroker::applyShardMove, then
-//               drain-by-refcount (in-flight queries on the source finish
-//               before it is touched), page-cache drop, source unlink;
+//   commitMove  cutover (Placement::withMove, QueryBroker::publish), then
+//               drain-by-refcount (tasks routed to the source finish before
+//               it is touched), page-cache drop, source unlink;
 //   crash/GC    a crashed machine's directory freezes as-is (orphaned
 //               temps, lost copies); recoverMachine() collects the debris
 //               and reconciles the directory with the mapping.
@@ -43,6 +44,7 @@
 #include "index/partition.hpp"
 #include "index/segment.hpp"
 #include "serve/broker.hpp"
+#include "serve/placement.hpp"
 
 namespace resex::serve {
 
@@ -75,12 +77,12 @@ class LiveCluster : public MigrationDataPlane {
               const FaultInjector* faults = nullptr);
 
   /// Per-physical-shard serving indexes (segment-backed) — pass to
-  /// QueryBroker's live-mode constructor.
+  /// QueryBroker's constructor.
   std::vector<std::shared_ptr<const InvertedIndex>> shardIndexes() const;
 
-  /// Connects the broker whose routing commitMove cuts over. Null detaches
-  /// (moves then only update the plane's own table).
-  void attachBroker(QueryBroker* broker) { broker_ = broker; }
+  /// Connects the broker commitMove publishes to and publishes the current
+  /// placement into it. Null detaches.
+  void attachBroker(QueryBroker* broker);
 
   // -- MigrationDataPlane -------------------------------------------------
   bool admitCopy(ShardId shard, MachineId from, MachineId to) override;
@@ -98,8 +100,7 @@ class LiveCluster : public MigrationDataPlane {
   /// Bytes of published segment files resident on `machine` (temps and a
   /// crashed machine's frozen debris excluded until recovery).
   double residentBytes(MachineId machine) const;
-  /// The plane's view of shard placement (kept in lockstep with the broker
-  /// through commitMove).
+  /// The current placement's mapping.
   std::vector<MachineId> mapping() const;
 
   struct AuditReport {
@@ -134,14 +135,12 @@ class LiveCluster : public MigrationDataPlane {
 
   LiveClusterConfig config_;
   const FaultInjector* faults_ = nullptr;
-  QueryBroker* broker_ = nullptr;
   std::size_t machineCount_ = 0;
 
   mutable std::mutex mutex_;
-  std::vector<MachineId> mapping_;
-  /// Current serving index per physical shard (the broker holds its own
-  /// copies; this table is the plane's reference for drains and rebuilds).
-  std::vector<std::shared_ptr<const InvertedIndex>> table_;
+  QueryBroker* broker_ = nullptr;
+  /// commitMove replaces it and publishes it to broker_ under mutex_.
+  std::shared_ptr<const Placement> placement_;
   /// residentBytes_[m][shard] = published file bytes on machine m.
   std::vector<std::map<ShardId, std::uint64_t>> residentBytes_;
   std::vector<char> down_;

@@ -122,7 +122,7 @@ enum class Admission {
 const char* admissionName(Admission outcome) noexcept;
 
 /// (machine, physical shard) — one hosting replica of a partition, the
-/// element type of the broker's routing table.
+/// element type of Placement::hosts().
 using ReplicaHost = std::pair<MachineId, ShardId>;
 
 /// Per-machine execution-slot tokens plus per-tenant holdings, with

@@ -88,11 +88,10 @@ TEST(Controller, ExecutesWhenTriggered) {
   ClusterController controller(fastController());
   const EpochReport report = controller.step(inst);
   EXPECT_TRUE(report.triggered);  // skewed start: high cv
-  EXPECT_TRUE(report.executed);
   EXPECT_LT(report.after.bottleneckUtil, report.before.bottleneckUtil);
   EXPECT_EQ(controller.rebalancesExecuted(), 1u);
   EXPECT_GT(controller.cumulativeBytes(), 0.0);
-  EXPECT_EQ(controller.mapping().size(), inst.shardCount());
+  EXPECT_EQ(report.mapping.size(), inst.shardCount());
 }
 
 TEST(Controller, SkipsQuietEpochs) {
@@ -103,8 +102,7 @@ TEST(Controller, SkipsQuietEpochs) {
   const Instance inst = skewedInstance(2, 0.6);
   const EpochReport report = controller.step(inst);
   EXPECT_FALSE(report.triggered);
-  EXPECT_FALSE(report.executed);
-  EXPECT_EQ(controller.mapping(), inst.initialAssignment());
+  EXPECT_EQ(report.mapping, inst.initialAssignment());
   EXPECT_EQ(controller.cumulativeBytes(), 0.0);
 }
 
@@ -167,10 +165,9 @@ TEST(Controller, ExecutePartialAdvancesTheScheduledMoves) {
   CraftedPlanController controller(alwaysFire(), partialPlan(inst));
   const EpochReport report = controller.step(inst);
   EXPECT_TRUE(report.triggered);
-  EXPECT_TRUE(report.executed);
   EXPECT_FALSE(report.scheduleComplete);
   EXPECT_EQ(report.unscheduledMoves, 1u);
-  EXPECT_EQ(controller.mapping(), (std::vector<MachineId>{2, 1}));
+  EXPECT_EQ(report.mapping, (std::vector<MachineId>{2, 1}));
   EXPECT_DOUBLE_EQ(report.executedBytes, 60.0);
   EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 60.0);
 }
@@ -183,7 +180,7 @@ TEST(Controller, ExecutorModeCleanRunMatchesLegacyAccounting) {
   config.executor.sra.polish = false;
   ClusterController controller(config);
   const EpochReport report = controller.step(inst);
-  EXPECT_TRUE(report.executed);
+  EXPECT_TRUE(report.triggered);
   EXPECT_LT(report.after.bottleneckUtil, report.before.bottleneckUtil);
   EXPECT_FALSE(report.degradedCompletion);
   EXPECT_EQ(report.retries, 0u);
@@ -204,12 +201,12 @@ TEST(Controller, ExecutorModeSurfacesDegradation) {
   config.faults.copyFailureProbability = 1.0;  // every copy attempt fails
   ClusterController controller(config);
   const EpochReport report = controller.step(inst);
-  EXPECT_TRUE(report.executed);
+  EXPECT_TRUE(report.triggered);
   EXPECT_TRUE(report.degradedCompletion);
   EXPECT_GT(report.abortedMoves, 0u);
   EXPECT_GT(report.unscheduledMoves, 0u);
   EXPECT_DOUBLE_EQ(report.executedBytes, 0.0);
-  EXPECT_EQ(controller.mapping(), inst.initialAssignment());  // nothing moved
+  EXPECT_EQ(report.mapping, inst.initialAssignment());  // nothing moved
 }
 
 TEST(Controller, DrivesTraceOperationEndToEnd) {
@@ -229,8 +226,8 @@ TEST(Controller, DrivesTraceOperationEndToEnd) {
   for (std::size_t e = 0; e < trace.epochCount(); ++e) {
     const Instance inst = trace.instanceForEpoch(e, mapping);
     const EpochReport report = controller.step(inst);
-    EXPECT_TRUE(report.executed) << "epoch " << e;
-    mapping = controller.mapping();
+    EXPECT_TRUE(report.triggered) << "epoch " << e;
+    mapping = report.mapping;
     Assignment state(inst, mapping);
     EXPECT_GE(state.vacantCount(), inst.exchangeCount());
   }
@@ -277,7 +274,6 @@ TEST(Controller, StepsOnObservedDemandAndImprovesBalance) {
   ClusterController controller(config);
   const EpochReport report = controller.step(measured);
   EXPECT_TRUE(report.triggered);
-  EXPECT_TRUE(report.executed);
   EXPECT_LE(report.after.bottleneckUtil, report.before.bottleneckUtil + 1e-9);
 }
 

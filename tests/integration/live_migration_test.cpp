@@ -4,6 +4,8 @@
 //
 //   * queries issued continuously across a migration stay bit-identical to
 //     the PartitionedIndex oracle — before, during, and after cutover;
+//   * the mapping and /debug/shards, read while cutovers land, always show
+//     a placement the cluster actually passed through, never an older one;
 //   * a randomized seeded fault sweep (copy failures + a mid-flight
 //     machine crash) always ends, after recovery, with a filesystem the
 //     audit can vouch for: no torn segments, no orphaned temps, no strays,
@@ -23,6 +25,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "cluster/scheduler.hpp"
+#include "common/mini_json.hpp"
 #include "control/executor.hpp"
 #include "index/partition.hpp"
 #include "serve/broker.hpp"
@@ -131,8 +135,8 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   serveConfig.cacheCapacity = 128;
   QueryBroker broker(instance, instance.initialAssignment(), index, serveConfig,
                      cluster.shardIndexes());
-  ASSERT_TRUE(broker.liveMode());
   cluster.attachBroker(&broker);
+  ASSERT_EQ(broker.placement()->indexes(), cluster.shardIndexes());
 
   // Fixed query set with precomputed oracle answers.
   const std::vector<std::vector<TermId>> queries = {
@@ -208,6 +212,7 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   EXPECT_EQ(report.finalMapping, target);
   EXPECT_EQ(cluster.mapping(), target);
   EXPECT_EQ(broker.mapping(), target);
+  EXPECT_EQ(broker.placement()->indexes(), cluster.shardIndexes());
 
   // The filesystem is exactly the mapping: sources dropped, no debris.
   const auto audit = cluster.audit();
@@ -218,6 +223,88 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   for (const auto& q : queries)
     expectOracle(index, broker.execute(q), q, serveConfig.topK,
                  serveConfig.bm25);
+  broker.shutdown();
+}
+
+TEST(LiveMigration, PlacementReadsStayConsistentWhileCutoversLand) {
+  // Three rounds of rotating every shard one machine over, while a second
+  // thread reads the mapping and /debug/shards and a third keeps queries
+  // in flight. After k cutovers, shard j sits on
+  // initial[j] + k / 3 + (j < k % 3), so every read must be one of the ten
+  // states the cluster passed through, never older than the previous read.
+  const std::size_t kPartitions = 3, kMachines = 3, kRounds = 3;
+  const PartitionedIndex index = smallIndex(kPartitions);
+  const Instance instance = hostingInstance(kPartitions, kMachines);
+  const std::vector<MachineId> initial = instance.initialAssignment();
+  const TempDir dir;
+  LiveClusterConfig liveConfig;
+  liveConfig.rootDir = dir.path.string();
+  LiveCluster cluster(instance, index, initial, liveConfig);
+  QueryBroker broker(instance, initial, index, ServeConfig{}, cluster.shardIndexes());
+  cluster.attachBroker(&broker);
+
+  const auto stateAfter = [&](std::size_t k) {
+    std::vector<MachineId> mapping(kPartitions);
+    for (std::size_t j = 0; j < kPartitions; ++j)
+      mapping[j] = static_cast<MachineId>(
+          (initial[j] + k / kPartitions + (j < k % kPartitions ? 1 : 0)) % kMachines);
+    return mapping;
+  };
+  // The first state at or after `from` that `mapping` shows; -1 if none.
+  const auto stateFrom = [&](const std::vector<MachineId>& mapping, int from) {
+    for (auto k = static_cast<std::size_t>(from); k <= kRounds * kPartitions; ++k)
+      if (mapping == stateAfter(k)) return static_cast<int>(k);
+    return -1;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> inconsistent{0};
+  std::thread reader([&] {
+    int lastMapping = 0, lastJson = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const int fromMapping = stateFrom(broker.mapping(), lastMapping);
+      const auto json = resex::testing::MiniJson::flatten(broker.shardsJson());
+      std::vector<MachineId> shown(kPartitions);
+      for (std::size_t s = 0; s < kPartitions; ++s)
+        shown[s] = static_cast<MachineId>(
+            std::stoul(json.at("shards/" + std::to_string(s) + "/machine")));
+      const int fromJson = stateFrom(shown, lastJson);
+      if (fromMapping < 0 || fromJson < 0)
+        inconsistent.fetch_add(1, std::memory_order_relaxed);
+      lastMapping = std::max(lastMapping, fromMapping);
+      lastJson = std::max(lastJson, fromJson);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread client([&] {
+    for (TermId t = 0; !stop.load(std::memory_order_relaxed); ++t)
+      broker.execute({t % 600, 7});
+  });
+
+  std::vector<MachineId> mapping = initial;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (ShardId s = 0; s < kPartitions; ++s) {
+      const MachineId from = mapping[s];
+      const auto to = static_cast<MachineId>((from + 1) % kMachines);
+      ASSERT_TRUE(cluster.admitCopy(s, from, to));
+      ASSERT_TRUE(cluster.copyShard(s, from, to, CopyFault{}));
+      cluster.commitMove(s, from, to);
+      mapping[s] = to;
+      const std::uint64_t seen = reads.load();
+      while (reads.load() < seen + 2) std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  reader.join();
+  client.join();
+
+  EXPECT_EQ(inconsistent.load(), 0u);
+  EXPECT_EQ(cluster.cutovers(), kRounds * kPartitions);
+  EXPECT_EQ(broker.mapping(), stateAfter(kRounds * kPartitions));
+  EXPECT_EQ(cluster.mapping(), broker.mapping());
+  const auto audit = cluster.audit();
+  EXPECT_TRUE(audit.clean()) << auditSummary(audit);
   broker.shutdown();
 }
 

@@ -47,8 +47,7 @@ TEST(SearchOps, ControllerHoldsTailLatencyThroughTheDay) {
     const double qps = config.peakQps * diurnal.multiplier(hour) /
                        diurnal.multiplier(diurnal.peakHour);
     const Instance inst = workload.buildInstance(qps, &managed);
-    controller.step(inst);
-    managed = controller.mapping();
+    managed = controller.step(inst).mapping;
 
     const auto withController = workload.simulate(managed, qps, 2500, 5 + epoch);
     const auto withoutController =
@@ -82,8 +81,8 @@ TEST(SearchOps, ReplicatedWorkloadSurvivesTheSameLoop) {
     const double qps = config.peakQps * (0.6 + 0.2 * static_cast<double>(epoch));
     const Instance inst = workload.buildInstance(qps, &mapping);
     const EpochReport report = controller.step(inst);
-    EXPECT_TRUE(report.executed) << "epoch " << epoch;
-    mapping = controller.mapping();
+    EXPECT_TRUE(report.triggered) << "epoch " << epoch;
+    mapping = report.mapping;
     Assignment state(inst, mapping);
     const auto problems = state.validate(/*requireCapacity=*/false);
     for (const auto& p : problems)

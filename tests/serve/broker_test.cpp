@@ -74,6 +74,13 @@ std::string wireBytes(const QueryResult& result) {
   return out;
 }
 
+/// Publishes the broker's placement with `shard` moved from `from` to `to`
+/// (served from `replacement` when given).
+void publishMove(QueryBroker& broker, ShardId shard, MachineId from, MachineId to,
+                 std::shared_ptr<const InvertedIndex> replacement = nullptr) {
+  broker.publish(broker.placement()->withMove(shard, from, to, std::move(replacement)));
+}
+
 /// Asserts `result` is the complete PartitionedIndex answer for `terms`.
 void expectOracle(const PartitionedIndex& index, const QueryResult& result,
                   const std::vector<TermId>& terms, const ServeConfig& config) {
@@ -125,31 +132,6 @@ TEST(QueryBroker, DeadlineExpiryDegradesToPartialResult) {
   // The tail tasks were shed, not executed: work attribution stays honest.
   EXPECT_GE(shed, 1u);
   EXPECT_EQ(executed + shed, 4u);
-}
-
-TEST(QueryBroker, CacheHitsSurviveRemap) {
-  const PartitionedIndex index = smallIndex(2);
-  const Instance instance = hostingInstance(2, 2);
-  ServeConfig config;
-  config.cacheCapacity = 64;
-  QueryBroker broker(instance, instance.initialAssignment(), index, config);
-  const auto q = query({5, 9});
-  EXPECT_FALSE(broker.execute(q).cacheHit);
-  const QueryResult hit = broker.execute(q);
-  EXPECT_TRUE(hit.cacheHit);
-  EXPECT_TRUE(hit.complete);
-
-  std::vector<MachineId> swapped = instance.initialAssignment();
-  for (MachineId& m : swapped) m = static_cast<MachineId>(1 - m);
-  broker.applyMapping(swapped);
-  EXPECT_EQ(broker.mapping(), swapped);
-  // A remap changes where shards are served, not what they answer: the
-  // entry survives and still carries the oracle's answer.
-  const QueryResult afterRemap = broker.execute(q);
-  EXPECT_TRUE(afterRemap.cacheHit);
-  expectOracle(index, afterRemap, q, config);
-  EXPECT_EQ(broker.cacheStats().invalidations, 0u);
-  EXPECT_EQ(broker.cacheStats().entriesInvalidated, 0u);
 }
 
 TEST(QueryBroker, IncompleteResultsAreNeverCached) {
@@ -337,7 +319,7 @@ TEST(QueryBroker, IntrospectionHeatMatchesObservedLoad) {
   EXPECT_EQ(broker.takeObservedLoad().queries, 0u);
 }
 
-TEST(QueryBroker, ApplyShardMoveRemapsRoutingAndResetsHeat) {
+TEST(QueryBroker, PublishedMoveRemapsRoutingAndResetsHeat) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);  // shard g on machine g
   ServeConfig config;
@@ -347,7 +329,7 @@ TEST(QueryBroker, ApplyShardMoveRemapsRoutingAndResetsHeat) {
   EXPECT_GT(before.shardTasks[0], 0u);
   EXPECT_GT(before.shardTasks[1], 0u);
 
-  broker.applyShardMove(0, 0, 1);
+  publishMove(broker, 0, 0, 1);
   EXPECT_EQ(broker.mapping()[0], 1u);
   EXPECT_EQ(broker.mapping()[1], 1u);
 
@@ -366,7 +348,7 @@ TEST(QueryBroker, ApplyShardMoveRemapsRoutingAndResetsHeat) {
   expectOracle(index, broker.execute(q), q, config);
 }
 
-TEST(QueryBroker, ApplyShardMoveKeepsCachedResults) {
+TEST(QueryBroker, PublishedMoveKeepsCachedResults) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   ServeConfig config;
@@ -379,8 +361,8 @@ TEST(QueryBroker, ApplyShardMoveKeepsCachedResults) {
 
   // With one replica per partition every cached entry was served by shard
   // 1; the move keeps it, and the hit is what a fresh computation returns.
-  broker.applyShardMove(1, 1, 0);
-  uncached.applyShardMove(1, 1, 0);
+  publishMove(broker, 1, 1, 0);
+  publishMove(uncached, 1, 1, 0);
   const CacheStats stats = broker.cacheStats();
   EXPECT_EQ(stats.invalidations, 0u);
   EXPECT_EQ(stats.entriesInvalidated, 0u);
@@ -392,7 +374,7 @@ TEST(QueryBroker, ApplyShardMoveKeepsCachedResults) {
   EXPECT_EQ(wireBytes(hit), wireBytes(computed));
 }
 
-TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsCached) {
+TEST(QueryBroker, ResultRoutedBeforeAPublishIsCached) {
   // Paced slowly, the query is still executing on the old placement when
   // shard 1 moves. Its result is the same on either side of the move, so
   // it fills the cache and later clients are served the oracle's answer.
@@ -410,7 +392,7 @@ TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsCached) {
     first = std::move(result);
     cv.notify_one();
   });
-  broker.applyShardMove(1, 1, 0);  // submit returned: the query is routed
+  publishMove(broker, 1, 1, 0);  // submit returned: the query is routed
   {
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return first.has_value(); });
@@ -422,7 +404,7 @@ TEST(QueryBroker, ResultRoutedBeforeAShardMoveIsCached) {
   EXPECT_EQ(wireBytes(hit), wireBytes(*first));
 }
 
-TEST(QueryBroker, ApplyShardMoveRejectsAReplacementWithOtherContent) {
+TEST(QueryBroker, PlacementMoveRejectsAReplacementWithOtherContent) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   const std::filesystem::path dir =
@@ -439,11 +421,10 @@ TEST(QueryBroker, ApplyShardMoveRejectsAReplacementWithOtherContent) {
   config.cacheCapacity = 64;
   QueryBroker broker(instance, instance.initialAssignment(), index, config,
                      {segmentIndex(0, "s0.seg"), segmentIndex(1, "s1.seg")});
-  ASSERT_TRUE(broker.liveMode());
   broker.execute(query({3, 4}));
 
   // Partition 0's segment is valid, but it is not shard 1's content.
-  EXPECT_THROW(broker.applyShardMove(1, 1, 0, segmentIndex(0, "wrong.seg")),
+  EXPECT_THROW(publishMove(broker, 1, 1, 0, segmentIndex(0, "wrong.seg")),
                std::invalid_argument);
   EXPECT_EQ(broker.mapping(), instance.initialAssignment());
   EXPECT_EQ(broker.cacheStats().entriesInvalidated, 0u);
@@ -452,8 +433,11 @@ TEST(QueryBroker, ApplyShardMoveRejectsAReplacementWithOtherContent) {
   expectOracle(index, hit, query({3, 4}), config);
 
   // A copy of shard 1's own content is accepted, and serving stays exact.
-  const auto retired = broker.applyShardMove(1, 1, 0, segmentIndex(1, "copy.seg"));
-  EXPECT_NE(retired, nullptr);
+  const auto retired = broker.placement()->index(1);
+  const auto copy = segmentIndex(1, "copy.seg");
+  publishMove(broker, 1, 1, 0, copy);
+  EXPECT_NE(retired, copy);
+  EXPECT_EQ(broker.placement()->index(1), copy);
   EXPECT_EQ(broker.mapping()[1], 0u);
   expectOracle(index, broker.execute(query({5, 9})), query({5, 9}), config);
   broker.shutdown();
@@ -487,7 +471,7 @@ TEST(QueryBroker, DebugJsonReportsTheResultCache) {
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
   for (TermId t = 0; t < 14; ++t) broker.execute(query({t}));  // 12 fit, 2 rejected
   broker.execute(query({3}));                                   // a hit
-  broker.applyShardMove(0, 0, 1);                               // keeps all 12
+  publishMove(broker, 0, 0, 1);                                 // keeps all 12
   auto debug = MiniJson::flatten(broker.debugJson());
   EXPECT_EQ(debug.at("cache/capacity"), "12");
   EXPECT_EQ(debug.at("cache/entries"), "12");
@@ -509,13 +493,19 @@ TEST(QueryBroker, DebugJsonReportsTheResultCache) {
   EXPECT_GE(registry.gauge("serve.cache_capacity").get(), 12.0);
 }
 
-TEST(QueryBroker, ApplyShardMoveValidatesArguments) {
+TEST(QueryBroker, PlacementMoveValidatesArguments) {
   const PartitionedIndex index = smallIndex(2);
   const Instance instance = hostingInstance(2, 2);
   QueryBroker broker(instance, instance.initialAssignment(), index, {});
-  EXPECT_THROW(broker.applyShardMove(0, 1, 1), std::invalid_argument);  // wrong from
-  EXPECT_THROW(broker.applyShardMove(9, 0, 1), std::invalid_argument);  // no such shard
-  EXPECT_THROW(broker.applyShardMove(0, 0, 9), std::invalid_argument);  // no such machine
+  EXPECT_THROW(publishMove(broker, 0, 1, 1), std::invalid_argument);  // wrong from
+  EXPECT_THROW(publishMove(broker, 9, 0, 1), std::invalid_argument);  // no such shard
+  EXPECT_THROW(publishMove(broker, 0, 0, 9), std::invalid_argument);  // no such machine
+  // A placement must be shaped for this broker's cluster.
+  EXPECT_THROW(broker.publish(nullptr), std::invalid_argument);
+  const Instance wider = hostingInstance(2, 3);
+  EXPECT_THROW(broker.publish(std::make_shared<const Placement>(
+                   wider, wider.initialAssignment(), broker.placement()->indexes())),
+               std::invalid_argument);
   EXPECT_EQ(broker.mapping()[0], 0u);  // rejected moves leave routing alone
 }
 

@@ -100,8 +100,7 @@ TEST(Trace, InstanceForEpochKeepsMachineIds) {
   std::vector<MachineId> mapping = base.initialAssignment();
   for (std::size_t e = 0; e + 1 < trace.epochCount(); ++e) {
     const Instance inst = trace.instanceForEpoch(e, mapping);
-    controller.step(inst);
-    mapping = controller.mapping();  // handed back the way fig11_controller does
+    mapping = controller.step(inst).mapping;  // handed back the way fig11_controller does
     const Instance next = trace.instanceForEpoch(e + 1, mapping);
     std::size_t changedHost = 0;
     for (ShardId s = 0; s < base.shardCount(); ++s)
